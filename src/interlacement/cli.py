@@ -3,8 +3,9 @@
 Subcommands: validate, euler, matrix, orbit, profile, verify.
 
 Exit codes: 0 success, 1 bad input (parse errors, bad flags, missing
-files), 2 a verified property failed or engines disagreed, 3 a resource
-guard tripped (use the relevant force/limit flag to override).
+files), 2 a verified property failed, engines disagreed or a profile
+broke its invariants, 3 a resource guard tripped (use the relevant
+force/limit flag to override).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import InterlacementError, ParseError, TooLarge
+from .errors import InterlacementError, InvalidProfile, ParseError, TooLarge
 from .euler import (
     EulerSystem,
     TransitionLabel,
@@ -275,7 +276,13 @@ def _build_parser() -> argparse.ArgumentParser:
         default="trace",
         help="counting engine (both: run and compare, default trace)",
     )
-    p.add_argument("--threads", type=int, default=1, metavar="N")
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        metavar="N",
+        help="threads for the trace engine (default 1); nullity runs on one",
+    )
     p.add_argument(
         "--force",
         action="store_true",
@@ -305,7 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="vertices per generated graph when graphfile is omitted "
         "(default 8)",
     )
-    p.add_argument("--threads", type=int, default=1, metavar="N")
     p.add_argument(
         "--force",
         action="store_true",
@@ -400,7 +406,7 @@ def cmd_profile(args) -> int:
     if args.engine in ("trace", "both"):
         traced = profile_by_tracing(g, max_vertices=guard, threads=args.threads)
     if args.engine in ("nullity", "both"):
-        by_rank = profile_by_nullity(g, max_vertices=guard, threads=args.threads)
+        by_rank = profile_by_nullity(g, max_vertices=guard)
     if args.engine == "trace":
         print(_profile_line(traced))
     elif args.engine == "nullity":
@@ -448,9 +454,7 @@ def cmd_verify(args) -> int:
     else:
         g = _load_graph(args.graphfile)
         if args.exhaustive:
-            report = run_exhaustive(
-                g, threads=args.threads, force=args.force, corrupt=corrupt
-            )
+            report = run_exhaustive(g, force=args.force, corrupt=corrupt)
         else:
             report = run_samples(g, args.samples, args.seed, corrupt=corrupt)
     code = _print_report(report)
@@ -489,6 +493,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except TooLarge as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except InvalidProfile as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PROPERTY
     except InterlacementError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

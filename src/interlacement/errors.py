@@ -45,6 +45,10 @@ class TooLarge(InterlacementError):
     """An enumeration would exceed the configured resource guard."""
 
 
+class InvalidProfile(InterlacementError):
+    """A computed partition profile breaks a structural invariant."""
+
+
 class DimensionMismatch(InterlacementError):
     """Matrix or vector shapes are incompatible."""
 

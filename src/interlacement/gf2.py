@@ -264,38 +264,16 @@ def add_row(m: GF2Matrix, src: int, dst: int) -> GF2Matrix:
     return GF2Matrix(m.nrows, m.ncols, tuple(rows))
 
 
-def _rref_rows(rows: Sequence[int], ncols: int) -> Tuple[List[int], List[int]]:
-    """Reduced row echelon form of integer rows.
+def _echelon_rows(rows: Iterable[int], ncols: int) -> Tuple[List[int], List[int]]:
+    """Row echelon form of integer rows by forward elimination.
 
-    Returns (reduced rows, pivot column list).  The pivot for each step
-    is the first remaining row with a nonzero entry in the first possible
-    column, which makes the result canonical for a given row span.
+    Returns (rows, pivot column list): row ``k`` has its leading entry in
+    column ``pivots[k]``, and the rows after the last pivot row are zero
+    in the first ``ncols`` columns.  The pivot for each step is the first
+    remaining row with a nonzero entry in the first possible column.
     """
     work = list(rows)
     pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(work)):
-            if (work[i] >> c) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(len(work)):
-            if i != r and (work[i] >> c) & 1:
-                work[i] ^= work[r]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work, pivots
-
-
-def rank_rows(rows: Iterable[int], ncols: int) -> int:
-    """Rank of a list of integer bit-set rows (forward elimination only)."""
-    work = list(rows)
     r = 0
     for c in range(ncols):
         pivot = None
@@ -310,10 +288,32 @@ def rank_rows(rows: Iterable[int], ncols: int) -> int:
         for i in range(r + 1, len(work)):
             if (work[i] >> c) & 1:
                 work[i] ^= prow
+        pivots.append(c)
         r += 1
         if r == len(work):
             break
-    return r
+    return work, pivots
+
+
+def _rref_rows(rows: Sequence[int], ncols: int) -> Tuple[List[int], List[int]]:
+    """Reduced row echelon form of integer rows.
+
+    Returns (reduced rows, pivot column list): the echelon form with each
+    pivot column cleared above its pivot, which makes the result canonical
+    for a given row span.
+    """
+    work, pivots = _echelon_rows(rows, ncols)
+    for k in range(len(pivots) - 1, 0, -1):
+        c, prow = pivots[k], work[k]
+        for i in range(k):
+            if (work[i] >> c) & 1:
+                work[i] ^= prow
+    return work, pivots
+
+
+def rank_rows(rows: Iterable[int], ncols: int) -> int:
+    """Rank of a list of integer bit-set rows (forward elimination only)."""
+    return len(_echelon_rows(rows, ncols)[1])
 
 
 def rank(m: GF2Matrix) -> int:

@@ -61,6 +61,7 @@ __all__ = [
     "check_inverse",
     "check_core_kernel",
     "circuit_nullity",
+    "check_circuit_nullity",
     "check_core_independence",
 ]
 
@@ -377,6 +378,21 @@ def circuit_nullity(
     nullity = g.n - rank(m)
     p = trace_partition(g, ts)
     return nullity, p.size, g.c
+
+
+def check_circuit_nullity(
+    g: Graph4R, c: EulerSystem, ts: TransitionSystem
+) -> CheckResult:
+    """Counting identity: the kernel dimension of the modified
+    interlacement matrix of (c, ts) is circuit count minus component
+    count."""
+    nullity, p_size, comps = circuit_nullity(g, c, ts)
+    if nullity == p_size - comps:
+        return CheckResult(True)
+    return CheckResult(
+        False,
+        {"partition": ts, "nullity": nullity, "p_size": p_size, "components": comps},
+    )
 
 
 def check_core_independence(

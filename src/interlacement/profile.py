@@ -12,9 +12,10 @@ compute it:
   patches the phi/psi columns per transition system, reading the
   circuit count off the kernel dimension.
 
-Both engines split the counter range into fixed chunks, so partial
-profiles merge by coefficient addition and the result is independent of
-any thread count.
+The tracing engine splits the counter range into fixed chunks, so
+partial profiles merge by coefficient addition and the result is
+independent of its thread count.  The nullity engine is pure Python
+under the interpreter lock and runs on one thread.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from .errors import GraphMismatch, TooLarge
+from .errors import GraphMismatch, InvalidProfile, TooLarge
 from .euler import DEFAULT_ENUMERATION_GUARD, EulerSystem, hierholzer
 from .gf2 import iter_bits, rank_rows
 from .graph4 import PARTNER_BY_CODE, Graph4R
@@ -60,11 +61,24 @@ class PartitionProfile:
         return tuple(sorted(self.coefficients.items()))
 
     def validate(self) -> None:
-        """Structural sanity: totals, and the reachable range of counts."""
-        assert self.total() == 3 ** self.n_vertices
-        assert min(self.coefficients) == self.c_components
-        assert max(self.coefficients) <= self.c_components + self.n_vertices
-        assert all(v > 0 for v in self.coefficients.values())
+        """Structural sanity: totals, and the reachable range of counts.
+
+        Raises:
+            InvalidProfile: the coefficients do not total 3^n, the
+                smallest count is not c, the largest exceeds c + n, or a
+                coefficient is below 1.
+        """
+        n, c, counts = self.n_vertices, self.c_components, self.coefficients
+        if not (
+            self.total() == 3 ** n
+            and min(counts) == c
+            and max(counts) <= c + n
+            and all(v > 0 for v in counts.values())
+        ):
+            raise InvalidProfile(
+                f"profile {dict(self.sorted_items())} is impossible for "
+                f"{n} vertices in {c} components"
+            )
 
 
 def _check_guard(g: Graph4R, max_vertices: int) -> None:
@@ -73,10 +87,6 @@ def _check_guard(g: Graph4R, max_vertices: int) -> None:
             f"profile over 3^{g.n} transition systems refused "
             f"(guard at {max_vertices} vertices); raise the guard to override"
         )
-
-
-def _chunk_ranges(total: int) -> List[Tuple[int, int]]:
-    return [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
 
 
 def _succ_lut(g: Graph4R) -> np.ndarray:
@@ -131,41 +141,35 @@ def profile_by_tracing(
     total = 3 ** n
     lut = _succ_lut(g)
     pow3 = np.array([3 ** (n - 1 - v) for v in range(n)], dtype=np.int64)
-    ranges = _chunk_ranges(total)
+    starts = range(0, total, _CHUNK)
     acc = np.zeros(2 * n + 1, dtype=np.int64)
-    done = 0
 
-    def work(r):
-        return _trace_chunk(lut, pow3, n, r[0], r[1])
+    def work(lo):
+        return _trace_chunk(lut, pow3, n, lo, min(lo + _CHUNK, total))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(work, ranges)
-            for (lo, hi), part in zip(ranges, parts):
+            for lo, part in zip(starts, pool.map(work, starts)):
                 acc += part
-                done = _report_progress(done, hi - lo)
+                _report_progress(lo, min(lo + _CHUNK, total))
     else:
-        for r in ranges:
-            acc += work(r)
-            done = _report_progress(done, r[1] - r[0])
+        for lo in starts:
+            acc += work(lo)
+            _report_progress(lo, min(lo + _CHUNK, total))
     coefficients = {k: int(v) for k, v in enumerate(acc) if v}
     profile = PartitionProfile(coefficients, n, g.c)
     profile.validate()
     return profile
 
 
-def _report_progress(done: int, step: int) -> int:
-    before = done // _PROGRESS_EVERY
-    done += step
-    if done // _PROGRESS_EVERY > before:
-        logger.info("profile: %d transition systems processed", done)
-    return done
+def _report_progress(lo: int, hi: int) -> None:
+    """Log when the counter passes a multiple of ``_PROGRESS_EVERY``."""
+    if hi // _PROGRESS_EVERY > lo // _PROGRESS_EVERY:
+        logger.info("profile: %d transition systems processed", hi)
 
 
-def _nullity_chunk(
-    g: Graph4R, c: EulerSystem, lo: int, hi: int
-) -> Dict[int, int]:
-    """Histogram of circuit counts via kernel dimensions for [lo, hi)."""
+def _nullity_histogram(g: Graph4R, c: EulerSystem) -> Dict[int, int]:
+    """Histogram of circuit counts via kernel dimensions."""
     n = g.n
     comp = g.c
     base = interlacement_graph(c).rows
@@ -173,7 +177,7 @@ def _nullity_chunk(
     psi = c.psi_codes
     pow3 = [3 ** (n - 1 - v) for v in range(n)]
     hist: Dict[int, int] = {}
-    for idx in range(lo, hi):
+    for idx in range(3 ** n):
         phi_mask = 0
         psi_mask = 0
         for v in range(n):
@@ -195,7 +199,6 @@ def profile_by_nullity(
     c: EulerSystem | None = None,
     *,
     max_vertices: int = DEFAULT_ENUMERATION_GUARD,
-    threads: int = 1,
 ) -> PartitionProfile:
     """Profile computed from kernel dimensions of modified matrices.
 
@@ -212,22 +215,7 @@ def profile_by_nullity(
         c = hierholzer(g)
     elif c.graph != g:
         raise GraphMismatch("Euler system belongs to a different graph")
-    total = 3 ** g.n
-    ranges = _chunk_ranges(total)
-    coefficients: Dict[int, int] = {}
-
-    def work(r):
-        return _nullity_chunk(g, c, r[0], r[1])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, ranges))
-    else:
-        parts = [work(r) for r in ranges]
-    for part in parts:
-        for k, v in part.items():
-            coefficients[k] = coefficients.get(k, 0) + v
-    profile = PartitionProfile(coefficients, g.n, g.c)
+    profile = PartitionProfile(_nullity_histogram(g, c), g.n, g.c)
     profile.validate()
     return profile
 

@@ -1,17 +1,20 @@
 """Property sweeps: run every matrix and label identity check over a graph.
 
-Three modes share one report shape: an exhaustive sweep over the full
-Euler-system orbit and all 3^n transition systems, a seeded random sweep
-over one graph, and a seeded random sweep over freshly generated
-matching graphs.  All randomness comes from one ``random.Random(seed)``
-stream, so reports are reproducible byte for byte.
+One table, ``PROPERTIES``, names the checks of each property and the
+axes their arguments range over.  Three modes drive it and share one
+report shape: an exhaustive sweep runs each property over its own full
+product of axes (the Euler-system orbit, all 3^n transition systems,
+the vertices, the circuit subsets); a seeded random sweep over one
+graph, and one over freshly generated matching graphs, draw one random
+configuration per sample and pass it to every property.  All randomness
+comes from one ``random.Random(seed)`` stream, so reports are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -33,6 +36,7 @@ from .graph4 import (
 )
 from .interlace import (
     CheckResult,
+    check_circuit_nullity,
     check_core_independence,
     check_core_kernel,
     check_interlacement_complement,
@@ -40,7 +44,7 @@ from .interlace import (
     check_label_exchange,
     check_local_complement_transform,
     check_naturality,
-    circuit_nullity,
+    interlacement_graph,
     modified_interlacement_matrix,
     modified_local_complement,
 )
@@ -48,22 +52,46 @@ from .interlace import (
 __all__ = [
     "PropertyOutcome",
     "VerifyReport",
+    "PROPERTIES",
     "PROPERTY_NAMES",
+    "sweep_property",
     "run_exhaustive",
     "run_samples",
     "run_random_graphs",
 ]
 
-PROPERTY_NAMES = (
-    "local-complement transform",
-    "naturality",
-    "inverse",
-    "core-kernel equality",
-    "circuit nullity",
-    "core independence",
-    "kotzig closure",
-    "label exchange",
-)
+
+def _check_closure(g: Graph4R) -> CheckResult:
+    """The transform orbit of an Euler system is every Euler system."""
+    orbit = kotzig_orbit(g, hierholzer(g))
+    brute = all_euler_systems_bruteforce(g)
+    ok = {e.ts for e in orbit} == {e.ts for e in brute}
+    return CheckResult(ok, None if ok else {"orbit": len(orbit), "total": len(brute)})
+
+
+# Each property's checks, each with the axes its arguments after the graph
+# range over, outermost first: c and c2 range over the transform orbit of
+# the reference Euler system c0, ts over all 3^n transition systems, v
+# over the vertices, and subset, which only follows ts, over the subsets
+# of the circuits that ts traces.  A check with no axes is a property of
+# the graph alone.
+_CheckOnAxes = Tuple[Callable[..., CheckResult], Tuple[str, ...]]
+PROPERTIES: Dict[str, Tuple[_CheckOnAxes, ...]] = {
+    "local-complement transform": (
+        (check_local_complement_transform, ("c", "ts", "v")),
+    ),
+    "naturality": ((check_naturality, ("c", "c2", "ts")),),
+    "inverse": ((check_inverse, ("c", "c2")),),
+    "core-kernel equality": ((check_core_kernel, ("c0", "ts")),),
+    "circuit nullity": ((check_circuit_nullity, ("c0", "ts")),),
+    "core independence": ((check_core_independence, ("ts", "subset")),),
+    "kotzig closure": ((_check_closure, ()),),
+    "label exchange": (
+        (check_label_exchange, ("c", "ts", "v")),
+        (check_interlacement_complement, ("c", "v")),
+    ),
+}
+PROPERTY_NAMES = tuple(PROPERTIES)
 
 _MAX_WITNESSES = 3
 _DEFAULT_WORK_LIMIT = 5_000_000
@@ -124,18 +152,6 @@ def _fmt_witness(g: Graph4R, data: Dict) -> str:
     return " ".join(parts)
 
 
-def _all_ts_codes(n: int):
-    return itertools.product((0, 1, 2), repeat=n)
-
-
-def _codes_from_index(idx: int, n: int) -> Tuple[int, ...]:
-    codes = []
-    for _ in range(n):
-        idx, r = divmod(idx, 3)
-        codes.append(r)
-    return tuple(reversed(codes))
-
-
 def _corrupted(m: GF2Matrix) -> GF2Matrix:
     rows = list(m.rows)
     rows[0] ^= 1
@@ -147,15 +163,97 @@ def _subset_iter(size: int):
         yield tuple(i for i in range(size) if (mask >> i) & 1)
 
 
+def _points(g, c0, orbit, axes):
+    """Every argument tuple over ``axes``, outermost axis first."""
+    all_ts = map(TransitionSystem, itertools.product((0, 1, 2), repeat=g.n))
+    if axes == ("ts", "subset"):
+        return (
+            (ts, subset)
+            for ts in all_ts
+            for subset in _subset_iter(trace_partition(g, ts).size)
+        )
+    domains = {"c": orbit, "c2": orbit, "c0": (c0,), "ts": all_ts, "v": g.vertices}
+    return itertools.product(*(domains[axis] for axis in axes))
+
+
+def _record(outcome: PropertyOutcome, g: Graph4R, result: CheckResult) -> None:
+    outcome.record(result, lambda: _fmt_witness(g, result.witness))
+
+
+def _sweep(g, c0, name, checks) -> PropertyOutcome:
+    """Run ``checks``, the table entry of property ``name``, over their
+    full products; Kotzig closure is skipped above its vertex guard."""
+    outcome = PropertyOutcome(name)
+    if name == "kotzig closure" and g.n > _KOTZIG_SAMPLES_GUARD:
+        outcome.skipped = (
+            f"needs all 3^{g.n} transition systems; guard at "
+            f"{_KOTZIG_SAMPLES_GUARD} vertices"
+        )
+        return outcome
+    orbit = ()
+    if any({"c", "c2"} & set(axes) for _, axes in checks):
+        orbit = kotzig_orbit(g, c0)
+        # The checks' own transforms return equal copies of orbit systems.
+        # Caching the orbit's interlacement graphs first keys the cache by
+        # the objects swept here, so their lookups match by identity and
+        # skip a slower equality test.
+        for c in orbit:
+            interlacement_graph(c)
+    for check, axes in checks:
+        for args in _points(g, c0, orbit, axes):
+            _record(outcome, g, check(g, *args))
+    return outcome
+
+
+def sweep_property(g: Graph4R, c0: EulerSystem, name: str) -> PropertyOutcome:
+    """Run one property of ``PROPERTIES`` over its full product of axes.
+
+    Args:
+        c0: the reference Euler system; the c and c2 axes range over its
+            transform orbit.
+    """
+    return _sweep(g, c0, name, PROPERTIES[name])
+
+
+def _negative_control(g, c, ts, v) -> CheckResult:
+    """The local-complement transform check with one matrix entry
+    flipped, so that it must fail."""
+    lhs = modified_local_complement(modified_interlacement_matrix(c, ts), v)
+    rhs = modified_interlacement_matrix(kappa_transform(c, v), ts)
+    return CheckResult(
+        _corrupted(lhs.matrix) == rhs.matrix,
+        {
+            "note": "negative control (corrupted entry)",
+            "vertex": v,
+            "euler": c.ts,
+            "partition": ts,
+        },
+    )
+
+
+def _table(corrupt: bool):
+    """The property table; with ``corrupt``, the first local-complement
+    transform check of the run is the negative control."""
+    if not corrupt:
+        return PROPERTIES
+    name = "local-complement transform"
+    ((check, axes),) = PROPERTIES[name]
+    calls = itertools.count()
+
+    def first_corrupted(g, *args):
+        return (_negative_control if next(calls) == 0 else check)(g, *args)
+
+    return {**PROPERTIES, name: ((first_corrupted, axes),)}
+
+
 def run_exhaustive(
     g: Graph4R,
     *,
-    threads: int = 1,
     force: bool = False,
     corrupt: bool = False,
     work_limit: int = _DEFAULT_WORK_LIMIT,
 ) -> VerifyReport:
-    """Exhaustive sweep: full orbit x all transition systems x vertices.
+    """Exhaustive sweep: every property over its full product of axes.
 
     Raises:
         TooLarge: the estimated number of checks exceeds ``work_limit``
@@ -174,132 +272,20 @@ def run_exhaustive(
             f"exhaustive sweep needs about {estimate} checks "
             f"(limit {work_limit}); use force to run anyway"
         )
-    outcomes = {name: PropertyOutcome(name) for name in PROPERTY_NAMES}
-
-    def ts_range_worker(bounds: Tuple[int, int]):
-        lo, hi = bounds
-        local = {name: PropertyOutcome(name) for name in PROPERTY_NAMES}
-        first = corrupt and lo == 0
-        for idx in range(lo, hi):
-            ts = TransitionSystem(_codes_from_index(idx, n))
-            for c in orbit:
-                for v in g.vertices:
-                    if first:
-                        lhs = modified_local_complement(
-                            modified_interlacement_matrix(c, ts), v
-                        )
-                        rhs = modified_interlacement_matrix(
-                            kappa_transform(c, v), ts
-                        )
-                        res = CheckResult(
-                            _corrupted(lhs.matrix) == rhs.matrix,
-                            {
-                                "note": "negative control (corrupted entry)",
-                                "vertex": v,
-                                "euler": c.ts,
-                                "partition": ts,
-                            },
-                        )
-                        first = False
-                    else:
-                        res = check_local_complement_transform(g, c, ts, v)
-                    local["local-complement transform"].record(
-                        res, lambda r=res: _fmt_witness(g, r.witness)
-                    )
-                    res = check_label_exchange(g, c, ts, v)
-                    local["label exchange"].record(
-                        res, lambda r=res: _fmt_witness(g, r.witness)
-                    )
-                for c2 in orbit:
-                    res = check_naturality(g, c, c2, ts)
-                    local["naturality"].record(
-                        res, lambda r=res: _fmt_witness(g, r.witness)
-                    )
-            res = check_core_kernel(g, c0, ts)
-            local["core-kernel equality"].record(
-                res, lambda r=res: _fmt_witness(g, r.witness)
-            )
-            nullity, p_size, comps = circuit_nullity(g, c0, ts)
-            res = CheckResult(
-                nullity == p_size - comps,
-                {
-                    "partition": ts,
-                    "nullity": nullity,
-                    "p_size": p_size,
-                    "components": comps,
-                },
-            )
-            local["circuit nullity"].record(
-                res, lambda r=res: _fmt_witness(g, r.witness)
-            )
-            p = trace_partition(g, ts)
-            for subset in _subset_iter(p.size):
-                res = check_core_independence(g, ts, subset)
-                local["core independence"].record(
-                    res, lambda r=res: _fmt_witness(g, r.witness)
-                )
-        return local
-
-    ranges = _split_range(total_ts, threads)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(ts_range_worker, ranges))
-    else:
-        partials = [ts_range_worker(r) for r in ranges]
-    for partial in partials:
-        for name, out in partial.items():
-            tgt = outcomes[name]
-            tgt.checks += out.checks
-            for f in out.failures:
-                if len(tgt.failures) < _MAX_WITNESSES:
-                    tgt.failures.append(f)
-
-    for c in orbit:
-        for c2 in orbit:
-            res = check_inverse(g, c, c2)
-            outcomes["inverse"].record(
-                res, lambda r=res: _fmt_witness(g, r.witness)
-            )
-        for v in g.vertices:
-            res = check_interlacement_complement(g, c, v)
-            outcomes["label exchange"].record(
-                res, lambda r=res: _fmt_witness(g, r.witness)
-            )
-
-    _run_kotzig(g, c0, orbit, outcomes["kotzig closure"])
-
+    table = _table(corrupt)
     meta = [
         _graph_line(g),
         "mode: exhaustive",
         f"orbit size: {len(orbit)}",
     ]
-    return VerifyReport(meta, [outcomes[name] for name in PROPERTY_NAMES])
+    return VerifyReport(
+        meta, [_sweep(g, c0, name, table[name]) for name in PROPERTY_NAMES]
+    )
 
 
 def _graph_line(g: Graph4R) -> str:
     comp = "component" if g.c == 1 else "components"
     return f"graph: {g.n} vertices, {len(g.edges)} edges, {g.c} {comp}"
-
-
-def _split_range(total: int, parts: int) -> List[Tuple[int, int]]:
-    parts = max(1, min(parts, total or 1))
-    step = (total + parts - 1) // parts
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-def _run_kotzig(g, c0, orbit, outcome: PropertyOutcome) -> None:
-    if g.n > _KOTZIG_SAMPLES_GUARD:
-        outcome.skipped = (
-            f"needs all 3^{g.n} transition systems; guard at "
-            f"{_KOTZIG_SAMPLES_GUARD} vertices"
-        )
-        return
-    brute = all_euler_systems_bruteforce(g)
-    ok = {e.ts for e in orbit} == {e.ts for e in brute}
-    outcome.record(
-        CheckResult(ok, None if ok else {"orbit": len(orbit), "total": len(brute)}),
-        lambda: f"orbit size {len(orbit)} != euler system count {len(brute)}",
-    )
 
 
 def _random_walk(c0: EulerSystem, rng: random.Random) -> EulerSystem:
@@ -309,60 +295,26 @@ def _random_walk(c0: EulerSystem, rng: random.Random) -> EulerSystem:
     return c
 
 
-def _sample_once(
+def _check_sample(
     g: Graph4R,
     c0: EulerSystem,
     rng: random.Random,
+    table,
     outcomes: Dict[str, PropertyOutcome],
-    corrupt_this: bool,
 ) -> None:
-    n = g.n
+    """Draw one random configuration and pass it to every property that
+    has axes; a sample's Euler system c also stands in for c0."""
     c = _random_walk(c0, rng)
     c2 = _random_walk(c0, rng)
-    ts = TransitionSystem(tuple(rng.randrange(3) for _ in range(n)))
+    ts = TransitionSystem(tuple(rng.randrange(3) for _ in range(g.n)))
     v = rng.choice(g.vertices)
-
-    if corrupt_this:
-        lhs = modified_local_complement(modified_interlacement_matrix(c, ts), v)
-        rhs = modified_interlacement_matrix(kappa_transform(c, v), ts)
-        res = CheckResult(
-            _corrupted(lhs.matrix) == rhs.matrix,
-            {
-                "note": "negative control (corrupted entry)",
-                "vertex": v,
-                "euler": c.ts,
-                "partition": ts,
-            },
-        )
-    else:
-        res = check_local_complement_transform(g, c, ts, v)
-    outcomes["local-complement transform"].record(
-        res, lambda r=res: _fmt_witness(g, r.witness)
-    )
-    res = check_label_exchange(g, c, ts, v)
-    outcomes["label exchange"].record(res, lambda r=res: _fmt_witness(g, r.witness))
-    res = check_interlacement_complement(g, c, v)
-    outcomes["label exchange"].record(res, lambda r=res: _fmt_witness(g, r.witness))
-    res = check_naturality(g, c, c2, ts)
-    outcomes["naturality"].record(res, lambda r=res: _fmt_witness(g, r.witness))
-    res = check_inverse(g, c, c2)
-    outcomes["inverse"].record(res, lambda r=res: _fmt_witness(g, r.witness))
-    res = check_core_kernel(g, c, ts)
-    outcomes["core-kernel equality"].record(
-        res, lambda r=res: _fmt_witness(g, r.witness)
-    )
-    nullity, p_size, comps = circuit_nullity(g, c, ts)
-    res = CheckResult(
-        nullity == p_size - comps,
-        {"partition": ts, "nullity": nullity, "p_size": p_size, "components": comps},
-    )
-    outcomes["circuit nullity"].record(res, lambda r=res: _fmt_witness(g, r.witness))
-    p = trace_partition(g, ts)
-    subset = tuple(i for i in range(p.size) if rng.random() < 0.5)
-    res = check_core_independence(g, ts, subset)
-    outcomes["core independence"].record(
-        res, lambda r=res: _fmt_witness(g, r.witness)
-    )
+    size = trace_partition(g, ts).size
+    subset = tuple(i for i in range(size) if rng.random() < 0.5)
+    sample = {"c": c, "c0": c, "c2": c2, "ts": ts, "v": v, "subset": subset}
+    for name, checks in table.items():
+        for check, axes in checks:
+            if axes:
+                _record(outcomes[name], g, check(g, *(sample[a] for a in axes)))
 
 
 def run_samples(
@@ -377,17 +329,11 @@ def run_samples(
     circuit subset."""
     rng = random.Random(seed)
     c0 = hierholzer(g)
+    table = _table(corrupt)
     outcomes = {name: PropertyOutcome(name) for name in PROPERTY_NAMES}
-    for i in range(samples):
-        _sample_once(g, c0, rng, outcomes, corrupt and i == 0)
-    if g.n <= _KOTZIG_SAMPLES_GUARD:
-        orbit = kotzig_orbit(g, c0)
-        _run_kotzig(g, c0, orbit, outcomes["kotzig closure"])
-    else:
-        outcomes["kotzig closure"].skipped = (
-            f"needs all 3^{g.n} transition systems; guard at "
-            f"{_KOTZIG_SAMPLES_GUARD} vertices"
-        )
+    for _ in range(samples):
+        _check_sample(g, c0, rng, table, outcomes)
+    outcomes["kotzig closure"] = sweep_property(g, c0, "kotzig closure")
     meta = [
         _graph_line(g),
         f"mode: samples ({samples})",
@@ -406,21 +352,21 @@ def run_random_graphs(
     """Seeded random sweep over freshly generated matching graphs.
 
     Each sample draws a new random perfect matching on 4*size labeled
-    half-edges and then one random configuration on it.
+    half-edges and then one random configuration on it.  Kotzig closure
+    is checked on the first graph only.
     """
     rng = random.Random(seed)
+    table = _table(corrupt)
     outcomes = {name: PropertyOutcome(name) for name in PROPERTY_NAMES}
-    kotzig_ran = False
+    closure = "kotzig closure"
     for i in range(samples):
         g = random_matching_graph(size, seed=rng.randrange(2 ** 32))
         c0 = hierholzer(g)
-        _sample_once(g, c0, rng, outcomes, corrupt and i == 0)
-        if not kotzig_ran and size <= 5:
-            orbit = kotzig_orbit(g, c0)
-            _run_kotzig(g, c0, orbit, outcomes["kotzig closure"])
-            kotzig_ran = True
-    if not kotzig_ran:
-        outcomes["kotzig closure"].skipped = (
+        _check_sample(g, c0, rng, table, outcomes)
+        if i == 0 and size <= 5:
+            outcomes[closure] = sweep_property(g, c0, closure)
+    if not outcomes[closure].checks:
+        outcomes[closure].skipped = (
             f"size {size} above the closure guard (5 vertices)"
         )
     meta = [

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from interlacement import (
@@ -5,6 +7,13 @@ from interlacement import (
     HalfEdge,
     build_graph,
     random_matching_graph,
+)
+
+# tests that start ``python -m interlacement`` need the child to import
+# this same checkout, whether or not PYTHONPATH was set for the run
+_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")])
 )
 
 # one summary line per acceptance gate, printed after the run;

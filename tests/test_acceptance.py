@@ -14,14 +14,10 @@ import time
 from interlacement import (
     GF2Vector,
     TransitionSystem,
-    all_euler_systems_bruteforce,
+    check_circuit_nullity,
     check_core_kernel,
-    check_interlacement_complement,
     check_inverse,
-    check_label_exchange,
-    check_local_complement_transform,
     check_naturality,
-    circuit_nullity,
     core_vector,
     euler_from_partition,
     hierholzer,
@@ -32,6 +28,7 @@ from interlacement import (
     profile_by_nullity,
     profile_by_tracing,
     random_matching_graph,
+    sweep_property,
     trace_partition,
 )
 from interlacement.cli import format_graph
@@ -86,6 +83,18 @@ def all_ts(g):
         yield TransitionSystem(codes)
 
 
+def swept(g, name):
+    """Check count of one property's exhaustive sweep over ``g``, which
+    must pass; the reference Euler system is ``hierholzer(g)``."""
+    outcome = sweep_property(g, hierholzer(g), name)
+    assert outcome.ok, outcome.failures
+    return outcome.checks
+
+
+def orbit_size(g):
+    return len(kotzig_orbit(g, hierholzer(g)))
+
+
 def test_gate_1_transform_exhaustive():
     graphs = corpus(4)
     assert len(graphs) >= 50
@@ -98,12 +107,9 @@ def test_gate_1_transform_exhaustive():
     start = time.perf_counter()
     checks = 0
     for g in graphs:
-        orbit = kotzig_orbit(g, hierholzer(g))
-        for ts in all_ts(g):
-            for c in orbit:
-                for v in g.vertices:
-                    assert check_local_complement_transform(g, c, ts, v)
-                    checks += 1
+        count = swept(g, "local-complement transform")
+        assert count == 3 ** g.n * orbit_size(g) * g.n
+        checks += count
     elapsed = time.perf_counter() - start
     assert checks > 100_000
     assert elapsed < 60.0, f"sweep took {elapsed:.1f}s"
@@ -111,13 +117,9 @@ def test_gate_1_transform_exhaustive():
 
 def test_gate_2_naturality_inverse():
     for g in corpus(4):
-        orbit = kotzig_orbit(g, hierholzer(g))
-        tss = list(all_ts(g))
-        for c in orbit:
-            for c2 in orbit:
-                assert check_inverse(g, c, c2)
-                for ts in tss:
-                    assert check_naturality(g, c, c2, ts)
+        pairs = orbit_size(g) ** 2
+        assert swept(g, "inverse") == pairs
+        assert swept(g, "naturality") == pairs * 3 ** g.n
     rng = random.Random(424242)
     triples = 0
     while triples < 1000:
@@ -138,27 +140,21 @@ def test_gate_2_naturality_inverse():
 
 def test_gate_3_circuit_nullity():
     for g in corpus(6):
-        c = hierholzer(g)
-        for ts in all_ts(g):
-            nullity, p_size, comps = circuit_nullity(g, c, ts)
-            assert nullity == p_size - comps
+        assert swept(g, "circuit nullity") == 3 ** g.n
     g14 = random_matching_graph(14, seed=7)
     c14 = hierholzer(g14)
     rng = random.Random(14)
     start = time.perf_counter()
     for _ in range(200):
         ts = TransitionSystem(tuple(rng.randrange(3) for _ in range(14)))
-        nullity, p_size, comps = circuit_nullity(g14, c14, ts)
-        assert nullity == p_size - comps
+        assert check_circuit_nullity(g14, c14, ts)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"n=14 run took {elapsed:.1f}s"
 
 
 def test_gate_4_core_equals_kernel():
     for g in corpus(6):
-        c = hierholzer(g)
-        for ts in all_ts(g):
-            assert check_core_kernel(g, c, ts)
+        assert swept(g, "core-kernel equality") == 3 ** g.n
     g14 = random_matching_graph(14, seed=7)
     c14 = hierholzer(g14)
     rng = random.Random(14)
@@ -168,22 +164,16 @@ def test_gate_4_core_equals_kernel():
 
 
 def test_gate_5_complement_and_labels():
+    # label exchange over (c, ts, v), complement over (c, v)
     for g in corpus(5):
-        orbit = kotzig_orbit(g, hierholzer(g))
-        tss = list(all_ts(g))
-        for c in orbit:
-            for v in g.vertices:
-                assert check_interlacement_complement(g, c, v)
-            for ts in tss:
-                for v in g.vertices:
-                    assert check_label_exchange(g, c, ts, v)
+        expected = orbit_size(g) * g.n * (3 ** g.n + 1)
+        assert swept(g, "label exchange") == expected
 
 
 def test_gate_6_transform_closure():
+    # one orbit-versus-brute-force comparison per graph
     for g in corpus(5):
-        orbit = kotzig_orbit(g, hierholzer(g))
-        brute = all_euler_systems_bruteforce(g)
-        assert {e.ts for e in orbit} == {e.ts for e in brute}
+        assert swept(g, "kotzig closure") == 1
 
 
 def test_gate_7_partition_to_euler():

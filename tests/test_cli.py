@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from interlacement import ParseError, hierholzer, random_matching_graph
+from interlacement import ParseError, PartitionProfile, hierholzer
+from interlacement import random_matching_graph
 from interlacement.cli import (
     format_graph,
     format_transitions,
@@ -334,13 +335,13 @@ def test_verify_self_test_corrupt(capsys, g4_file):
     assert "FAIL local-complement transform" in out
 
 
-def test_verify_exhaustive_threads_identical(capsys, g4_file):
-    code1, out1, _ = run_cli(capsys, "verify", g4_file, "--exhaustive")
-    code2, out2, _ = run_cli(
-        capsys, "verify", g4_file, "--exhaustive", "--threads", "3"
-    )
-    assert code1 == code2 == 0
-    assert out1 == out2
+def test_profile_invariant_breach_exits_two(capsys, g4_file, monkeypatch):
+    def broken(g, **kwargs):
+        PartitionProfile({1: 1}, g.n, g.c).validate()
+
+    monkeypatch.setattr("interlacement.cli.profile_by_tracing", broken)
+    code, out, err = run_cli(capsys, "profile", g4_file)
+    assert code == 2 and "impossible" in err and "Traceback" not in err
 
 
 def test_verify_requires_mode(capsys, g4_file):

