@@ -2,30 +2,35 @@
 
 The profile of a graph maps each possible circuit count k to the number
 of transition systems tracing exactly k circuits (the coefficient map of
-the generating polynomial sum of x^|P|).  Two independent engines
+the generating polynomial sum of x^|P|).  Three independent engines
 compute it:
 
+* the frontier engine (the default) never visits the 3^n systems one by
+  one.  It opens the vertices in a greedy minimum-frontier order and
+  keeps, for each way the partial circuits can pair up the edges that
+  leave the opened vertices, a histogram of the circuits already
+  closed: the transfer-matrix method of Sekine, Imai and Tani applied
+  to Jaeger's transition polynomial.  Its cost grows with the frontier
+  width, not with n;
 * the tracing engine enumerates the base-3 counter over vertices in
   index order and counts successor orbits, vectorized with numpy in
-  chunks (cycle minima by pointer doubling);
+  fixed chunks (cycle minima by pointer doubling).  Partial profiles
+  merge by coefficient addition, so the result is independent of its
+  thread count;
 * the nullity engine reuses one all-chi matrix per Euler system and
   patches the phi/psi columns per transition system, reading the
-  circuit count off the kernel dimension.
+  circuit count off the kernel dimension.  It is pure Python under the
+  interpreter lock and runs on one thread.
 
-The tracing engine splits the counter range into fixed chunks, so
-partial profiles merge by coefficient addition and the result is
-independent of its thread count.  The nullity engine is pure Python
-under the interpreter lock and runs on one thread.
+The tracing and nullity engines are the oracles the frontier engine is
+checked against.
 """
 
 from __future__ import annotations
 
-import logging
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
-
-import numpy as np
+from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import GraphMismatch, InvalidProfile, TooLarge
 from .euler import DEFAULT_ENUMERATION_GUARD, EulerSystem, hierholzer
@@ -34,16 +39,19 @@ from .graph4 import PARTNER_BY_CODE, Graph4R
 from .interlace import interlacement_graph
 
 __all__ = [
+    "DEFAULT_STATE_GUARD",
     "PartitionProfile",
+    "profile_by_frontier",
     "profile_by_tracing",
     "profile_by_nullity",
     "euler_count",
 ]
 
-logger = logging.getLogger(__name__)
+# (w - 1)!! pairings of w frontier edges; 13!! admits frontiers of up
+# to 14 edges, which covers random connected graphs up to about n = 28
+DEFAULT_STATE_GUARD = 135_135
 
-_CHUNK = 3 ** 10
-_PROGRESS_EVERY = 1 << 20
+_INT64_MAX = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -89,40 +97,172 @@ def _check_guard(g: Graph4R, max_vertices: int) -> None:
         )
 
 
-def _succ_lut(g: Graph4R) -> np.ndarray:
-    """succ_lut[v, code, slot] = successor state of half-edge (v, slot)."""
+class _Step(NamedTuple):
+    """How opening one vertex changes the frontier.
+
+    Frontier edges are named by their dangling half-edge, the end at a
+    vertex not yet opened, and listed in a fixed order per step; a state
+    is a tuple giving each frontier position the position of its mate.
+    The vertex's slots are nodes 0..3 and the position p of the next
+    frontier is node p + 4.  ``ext[s]`` is the node slot s reaches by
+    its own edge (a loop partner or a new frontier edge), or -1 when the
+    edge is an old frontier edge at position ``i`` for a pair (s, i) in
+    ``taken``.  ``remap[i]`` is the node of old position i: its slot if
+    the edge ends at the vertex, its next position + 4 otherwise.
+    ``kept`` pairs each surviving old position with its next position.
+    """
+
+    ext: Tuple[int, ...]
+    taken: Tuple[Tuple[int, int], ...]
+    remap: Tuple[int, ...]
+    kept: Tuple[Tuple[int, int], ...]
+    width: int
+
+
+def _frontier_plan(g: Graph4R) -> List[_Step]:
+    """Steps of the greedy minimum-frontier order.
+
+    Each step opens the unopened vertex that adds the fewest frontier
+    edges net of those it closes, the smallest index on a tie.
+    """
     n = g.n
-    lut = np.empty((n, 3, 4), dtype=np.int16)
-    for v in range(n):
-        for code in range(3):
-            partner = PARTNER_BY_CODE[code]
-            for s in range(4):
-                lut[v, code, s] = g.other_end_table[(v << 2) | partner[s]]
-    return lut
+    other = g.other_end_table
+    # net frontier change of opening each vertex: +1 per edge to an
+    # unopened vertex, -1 per edge to an opened one, 0 per loop
+    delta = [
+        sum(other[h] >> 2 != v for h in range(4 * v, 4 * v + 4))
+        for v in range(n)
+    ]
+    opened = [False] * n
+    frontier: List[int] = []
+    steps = []
+    for _ in range(n):
+        v = min(
+            (u for u in range(n) if not opened[u]),
+            key=lambda u: (delta[u], u),
+        )
+        opened[v] = True
+        old_pos = {h: i for i, h in enumerate(frontier)}
+        survivors = [h for h in frontier if h >> 2 != v]
+        new_edges = [
+            other[h] for h in range(4 * v, 4 * v + 4) if not opened[other[h] >> 2]
+        ]
+        nxt = survivors + new_edges
+        new_pos = {h: i for i, h in enumerate(nxt)}
+        ext = []
+        taken = []
+        for s in range(4):
+            h = 4 * v + s
+            if h in old_pos:
+                ext.append(-1)
+                taken.append((s, old_pos[h]))
+            elif other[h] >> 2 == v:
+                ext.append(other[h] & 3)
+            else:
+                ext.append(new_pos[other[h]] + 4)
+        steps.append(
+            _Step(
+                ext=tuple(ext),
+                taken=tuple(taken),
+                remap=tuple(
+                    h & 3 if h >> 2 == v else new_pos[h] + 4 for h in frontier
+                ),
+                kept=tuple((old_pos[h], new_pos[h]) for h in survivors),
+                width=len(nxt),
+            )
+        )
+        for h in range(4 * v, 4 * v + 4):
+            u = other[h] >> 2
+            if not opened[u]:
+                delta[u] -= 2
+        frontier = nxt
+    return steps
 
 
-def _trace_chunk(
-    lut: np.ndarray, pow3: np.ndarray, n: int, lo: int, hi: int
-) -> np.ndarray:
-    """Histogram of circuit counts for counter values in [lo, hi)."""
-    nhe = 4 * n
-    idx = np.arange(lo, hi, dtype=np.int64)
-    digits = (idx[:, None] // pow3[None, :]) % 3
-    succ = lut[np.arange(n)[None, :], digits, :].reshape(len(idx), nhe)
-    # pointer doubling: after k rounds each entry knows the minimum of
-    # the 2^k states ahead of it, so log2(4n) rounds reach the whole cycle
-    minima = np.broadcast_to(
-        np.arange(nhe, dtype=np.int16), (len(idx), nhe)
-    ).copy()
-    hop = succ
-    span = 1
-    while span < nhe:
-        minima = np.minimum(minima, np.take_along_axis(minima, hop, axis=1))
-        hop = np.take_along_axis(hop, hop, axis=1)
-        span <<= 1
-    orbit_leaders = (minima == np.arange(nhe, dtype=np.int16)).sum(axis=1)
-    counts = orbit_leaders // 2
-    return np.bincount(counts, minlength=2 * n + 1)
+def _state_bound(steps: List[_Step]) -> int:
+    """Most states any step can hold: (w - 1)!! pairings of w edges."""
+    return max(math.prod(range(s.width - 1, 0, -2)) for s in steps)
+
+
+def _join(ext: List[int], partner: Tuple[int, ...], mates: List[int]) -> int:
+    """Couple the slots by ``partner``, pair up in ``mates`` the frontier
+    positions the resulting paths connect, and return how many circuits
+    close (cycles through slots only)."""
+    seen = 0
+    for s in range(4):
+        x = ext[s]
+        if x >= 4 and not seen >> s & 1:
+            cur = s
+            while True:
+                j = partner[cur]
+                seen |= 1 << cur | 1 << j
+                y = ext[j]
+                if y >= 4:
+                    break
+                cur = y
+            mates[x - 4] = y - 4
+            mates[y - 4] = x - 4
+    closed = 0
+    for s in range(4):
+        if not seen >> s & 1:
+            closed += 1
+            cur = s
+            while not seen >> cur & 1:
+                j = partner[cur]
+                seen |= 1 << cur | 1 << j
+                cur = ext[j]
+    return closed
+
+
+def profile_by_frontier(
+    g: Graph4R, *, max_states: int = DEFAULT_STATE_GUARD
+) -> PartitionProfile:
+    """Profile computed by a dynamic program over the frontier pairings.
+
+    Vertices are opened one at a time.  A state is the perfect matching
+    that the partial circuits induce on the frontier edges, and it
+    carries a histogram {closed circuits: number of partial transition
+    systems}.  Opening a vertex tries its 3 transitions on every state;
+    a circuit closes when a transition joins two ends of one path.
+
+    Raises:
+        TooLarge: the order's frontier admits more than ``max_states``
+            pairings at some step (checked before any state exists).
+    """
+    steps = _frontier_plan(g)
+    bound = _state_bound(steps)
+    if bound > max_states:
+        raise TooLarge(
+            f"frontier profile of {g.n} vertices refused: up to {bound} "
+            f"states (guard at {max_states}); raise the guard to override"
+        )
+    states: Dict[Tuple[int, ...], Dict[int, int]] = {(): {0: 1}}
+    for step in steps:
+        nxt: Dict[Tuple[int, ...], Dict[int, int]] = {}
+        for mates, hist in states.items():
+            ext = list(step.ext)
+            for s, i in step.taken:
+                ext[s] = step.remap[mates[i]]
+            base = [0] * step.width
+            for i, j in step.kept:
+                m = step.remap[mates[i]]
+                if m >= 4:
+                    base[j] = m - 4
+            for partner in PARTNER_BY_CODE:
+                new = base.copy()
+                closed = _join(ext, partner, new)
+                key = tuple(new)
+                target = nxt.get(key)
+                if target is None:
+                    nxt[key] = {k + closed: c for k, c in hist.items()}
+                else:
+                    for k, c in hist.items():
+                        target[k + closed] = target.get(k + closed, 0) + c
+        states = nxt
+    (coefficients,) = states.values()
+    profile = PartitionProfile(coefficients, g.n, g.c)
+    profile.validate()
+    return profile
 
 
 def profile_by_tracing(
@@ -134,38 +274,20 @@ def profile_by_tracing(
     """Profile computed by tracing every transition system.
 
     Raises:
-        TooLarge: the graph exceeds the enumeration guard.
+        TooLarge: the graph exceeds the enumeration guard, or 3^n
+            overflows the tracer's int64 counter.
     """
     _check_guard(g, max_vertices)
-    n = g.n
-    total = 3 ** n
-    lut = _succ_lut(g)
-    pow3 = np.array([3 ** (n - 1 - v) for v in range(n)], dtype=np.int64)
-    starts = range(0, total, _CHUNK)
-    acc = np.zeros(2 * n + 1, dtype=np.int64)
+    if 3 ** g.n > _INT64_MAX:
+        raise TooLarge(
+            f"profile over 3^{g.n} transition systems refused: the trace "
+            "engine counts in int64, which holds at most 3^39"
+        )
+    from ._tracer import circuit_histogram  # numpy loads only here
 
-    def work(lo):
-        return _trace_chunk(lut, pow3, n, lo, min(lo + _CHUNK, total))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for lo, part in zip(starts, pool.map(work, starts)):
-                acc += part
-                _report_progress(lo, min(lo + _CHUNK, total))
-    else:
-        for lo in starts:
-            acc += work(lo)
-            _report_progress(lo, min(lo + _CHUNK, total))
-    coefficients = {k: int(v) for k, v in enumerate(acc) if v}
-    profile = PartitionProfile(coefficients, n, g.c)
+    profile = PartitionProfile(circuit_histogram(g, threads), g.n, g.c)
     profile.validate()
     return profile
-
-
-def _report_progress(lo: int, hi: int) -> None:
-    """Log when the counter passes a multiple of ``_PROGRESS_EVERY``."""
-    if hi // _PROGRESS_EVERY > lo // _PROGRESS_EVERY:
-        logger.info("profile: %d transition systems processed", hi)
 
 
 def _nullity_histogram(g: Graph4R, c: EulerSystem) -> Dict[int, int]:
@@ -220,9 +342,7 @@ def profile_by_nullity(
     return profile
 
 
-def euler_count(
-    g: Graph4R, *, max_vertices: int = DEFAULT_ENUMERATION_GUARD
-) -> int:
+def euler_count(g: Graph4R, *, max_states: int = DEFAULT_STATE_GUARD) -> int:
     """Number of Euler systems of ``g`` (the profile coefficient at c)."""
-    profile = profile_by_tracing(g, max_vertices=max_vertices)
+    profile = profile_by_frontier(g, max_states=max_states)
     return profile.coefficients[g.c]

@@ -33,7 +33,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not rows:
         return
     terminalreporter.section("acceptance gates")
-    for desc, ok in sorted(rows):
+    # "gate N: ..." rows in gate order, gate 10 after gate 9
+    for desc, ok in sorted(rows, key=lambda row: int(row[0].split()[1][:-1])):
         terminalreporter.write_line(f"{'PASS' if ok else 'FAIL'}  {desc}")
 
 

@@ -1,4 +1,4 @@
-"""The nine acceptance gates, one test each.
+"""The ten acceptance gates, one test each.
 
 Every gate is exact: GF(2) arithmetic throughout, zero tolerance, and
 the stated corpora are swept in full.  The terminal summary prints one
@@ -14,6 +14,7 @@ import time
 from interlacement import (
     GF2Vector,
     TransitionSystem,
+    build_graph,
     check_circuit_nullity,
     check_core_kernel,
     check_inverse,
@@ -25,6 +26,7 @@ from interlacement import (
     kappa_transform,
     kotzig_orbit,
     label_transitions,
+    profile_by_frontier,
     profile_by_nullity,
     profile_by_tracing,
     random_matching_graph,
@@ -67,12 +69,18 @@ ACCEPTANCE_GATES.update(
             "partition of every corpus graph with n<=5"
         ),
         "test_gate_8_profile_engines": (
-            "gate 8: tracing and nullity profiles agree for n<=8; "
-            "two-loop profile is 1:2 2:1; totals are 3^n"
+            "gate 8: tracing and nullity profiles agree for n<=8, and "
+            "the frontier profile with them; two-loop profile is 1:2 2:1; "
+            "totals are 3^n"
         ),
         "test_gate_9_profile_performance": (
             "gate 9: 3^12 profile of a connected 12-vertex graph under "
             "10 s single-threaded; threaded CLI output byte-identical"
+        ),
+        "test_gate_10_frontier_profile": (
+            "gate 10: frontier profile of a connected 24-vertex graph "
+            "totals 3^24, validates, matches its reversed relabeling, "
+            "under 10 s"
         ),
     }
 )
@@ -206,6 +214,7 @@ def test_gate_8_profile_engines():
         assert trace.coefficients == by_rank.coefficients
         assert trace.total() == 3 ** g.n
         assert by_rank.total() == 3 ** g.n
+        assert profile_by_frontier(g).coefficients == trace.coefficients
 
 
 def test_gate_9_profile_performance(tmp_path):
@@ -227,6 +236,8 @@ def test_gate_9_profile_performance(tmp_path):
                 "interlacement",
                 "profile",
                 str(path),
+                "--engine",
+                "trace",
                 "--threads",
                 threads,
             ],
@@ -240,3 +251,19 @@ def test_gate_9_profile_performance(tmp_path):
         int(part.split(":")[1]) for part in line.strip().split()
     )
     assert total == 3 ** 12
+
+
+def test_gate_10_frontier_profile():
+    # 3^24 systems are far past the tracer; the frontier engine never
+    # meets them one by one
+    g = random_matching_graph(24, seed=0, connected=True)
+    start = time.perf_counter()
+    prof = profile_by_frontier(g)
+    elapsed = time.perf_counter() - start
+    assert prof.total() == 3 ** 24
+    prof.validate()
+    # the reversed vertex order gives the engine another opening order
+    # and other frontier names, so agreement is not a replay
+    flipped = build_graph(tuple(reversed(g.vertices)), g.edges)
+    assert profile_by_frontier(flipped).coefficients == prof.coefficients
+    assert elapsed < 10.0, f"frontier profile took {elapsed:.1f}s"

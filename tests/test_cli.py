@@ -276,6 +276,28 @@ def test_profile_golden(capsys, loops_file):
     code, out, err = run_cli(capsys, "profile", loops_file)
     assert code == 0
     assert out == "1:2 2:1\n"
+    for engine in ("frontier", "trace", "nullity"):
+        code, out, err = run_cli(capsys, "profile", loops_file, "--engine", engine)
+        assert (code, out) == (0, "1:2 2:1\n")
+
+
+def test_profile_frontier_guard(capsys, g4_file, monkeypatch):
+    # the two-vertex graph opens a 4-edge frontier: 3 pairings
+    monkeypatch.setattr("interlacement.cli.DEFAULT_STATE_GUARD", 2)
+    code, out, err = run_cli(capsys, "profile", g4_file)
+    assert code == 3 and "up to 3 states" in err and out == ""
+    code, out, err = run_cli(capsys, "profile", g4_file, "--force")
+    assert (code, out) == (0, "1:6 2:3\n")
+
+
+def test_profile_trace_int64_guard(capsys, tmp_path):
+    # 3^41 overflows the tracer's int64 counter; refused before any work
+    p = tmp_path / "g41.graph"
+    p.write_text(format_graph(random_matching_graph(41, seed=0)))
+    code, out, err = run_cli(
+        capsys, "profile", str(p), "--engine", "trace", "--force"
+    )
+    assert code == 3 and "int64" in err and "Traceback" not in err
 
 
 def test_profile_both_engines(capsys, g4_file):
@@ -339,7 +361,7 @@ def test_profile_invariant_breach_exits_two(capsys, g4_file, monkeypatch):
     def broken(g, **kwargs):
         PartitionProfile({1: 1}, g.n, g.c).validate()
 
-    monkeypatch.setattr("interlacement.cli.profile_by_tracing", broken)
+    monkeypatch.setattr("interlacement.cli.profile_by_frontier", broken)
     code, out, err = run_cli(capsys, "profile", g4_file)
     assert code == 2 and "impossible" in err and "Traceback" not in err
 
@@ -366,8 +388,8 @@ def test_help_exits_zero(capsys):
 
 
 def test_console_script_byte_identical_threads(tmp_path):
-    # same profile through the installed entry point, single and multi
-    # threaded, must be byte for byte identical
+    # same trace-engine profile through the installed entry point,
+    # single and multi threaded, must be byte for byte identical
     p = tmp_path / "g.graph"
     g = random_matching_graph(8, seed=3)
     p.write_text(format_graph(g))
@@ -380,6 +402,8 @@ def test_console_script_byte_identical_threads(tmp_path):
                 "interlacement",
                 "profile",
                 str(p),
+                "--engine",
+                "trace",
                 "--threads",
                 threads,
             ],

@@ -1,9 +1,12 @@
 import itertools
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interlacement import (
     GraphMismatch,
@@ -16,10 +19,13 @@ from interlacement import (
     euler_count,
     hierholzer,
     kotzig_orbit,
+    profile_by_frontier,
     profile_by_nullity,
     profile_by_tracing,
     random_matching_graph,
 )
+from interlacement import _tracer
+from interlacement.profile import _frontier_plan, _state_bound
 from conftest import corpus, graph_disconnected, graph_two_loops
 
 
@@ -39,18 +45,66 @@ def test_tracing_against_naive(g):
 
 def test_golden_loops(g_loops):
     assert dict(profile_by_tracing(g_loops).coefficients) == {1: 2, 2: 1}
+    assert dict(profile_by_frontier(g_loops).coefficients) == {1: 2, 2: 1}
 
 
 def test_golden_parallel(g_4par):
     assert dict(profile_by_tracing(g_4par).coefficients) == {1: 6, 2: 3}
+    assert dict(profile_by_frontier(g_4par).coefficients) == {1: 6, 2: 3}
 
 
-@pytest.mark.parametrize("g", corpus(8), ids=lambda g: "-".join(g.vertices))
+def disjoint_union(*graphs):
+    """The graphs side by side, vertex names prefixed by their part."""
+    vertices, edges = [], []
+    for i, g in enumerate(graphs):
+        vertices += [f"p{i}{v}" for v in g.vertices]
+        edges += [
+            ((f"p{i}{a.vertex}", a.slot), (f"p{i}{b.vertex}", b.slot))
+            for a, b in g.edges
+        ]
+    return build_graph(vertices, edges)
+
+
+def _random_small_graphs():
+    # loops and parallel edges come with the random matchings; the
+    # unions have 2 or 3 components, n <= 8 in all
+    graphs = [
+        pytest.param(random_matching_graph(n, seed=s), id=f"random-n{n}-s{s}")
+        for n in range(1, 9)
+        for s in (20, 21)
+    ]
+    for s in range(6):
+        two = disjoint_union(
+            random_matching_graph(1 + s % 3, seed=s, connected=True),
+            random_matching_graph(2 + s % 4, seed=s + 50, connected=True),
+        )
+        three = disjoint_union(
+            *(
+                random_matching_graph(1 + (s + k) % 2, seed=10 * s + k, connected=True)
+                for k in range(3)
+            )
+        )
+        graphs.append(pytest.param(two, id=f"union2-{s}"))
+        graphs.append(pytest.param(three, id=f"union3-{s}"))
+    return graphs
+
+
+@pytest.mark.parametrize(
+    "g", corpus(8) + _random_small_graphs(), ids=lambda g: "-".join(g.vertices)
+)
 def test_engines_agree(g):
     trace = profile_by_tracing(g)
     by_rank = profile_by_nullity(g)
     assert trace.coefficients == by_rank.coefficients
     assert trace.total() == 3 ** g.n
+    assert profile_by_frontier(g).coefficients == trace.coefficients
+
+
+@given(st.integers(min_value=1, max_value=8), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_frontier_matches_tracing(n, seed):
+    g = random_matching_graph(n, seed=seed)
+    assert profile_by_frontier(g).coefficients == profile_by_tracing(g).coefficients
 
 
 def test_profile_shape(g_split):
@@ -98,19 +152,87 @@ def test_euler_count_matches_orbit():
         assert euler_count(g) == len(orbit)
 
 
-def test_guard():
+def test_guard(monkeypatch):
     g = random_matching_graph(7, seed=0)
     with pytest.raises(TooLarge):
         profile_by_tracing(g, max_vertices=6)
     with pytest.raises(TooLarge):
         profile_by_nullity(g, max_vertices=6)
+    # the frontier guard is the largest (w - 1)!! over the order's
+    # frontier widths w, refused before the first state exists
+    steps = _frontier_plan(g)
+    bound = _state_bound(steps)
+    widest = max(s.width for s in steps)
+    assert bound == _double_factorial(widest - 1) > 1
+    with pytest.raises(TooLarge, match=f"up to {bound} states"):
+        profile_by_frontier(g, max_states=bound - 1)
+    assert profile_by_frontier(g, max_states=bound).total() == 3 ** 7
+    # the tracer refuses 3^40, past int64, but lets 3^39 through to its
+    # chunk loop (stubbed here: the real run would take centuries)
+
+    class Reached(Exception):
+        pass
+
+    def stub(g, threads):
+        raise Reached
+
+    monkeypatch.setattr(_tracer, "circuit_histogram", stub)
+    with pytest.raises(TooLarge, match="int64"):
+        profile_by_tracing(random_matching_graph(40, seed=0), max_vertices=64)
+    with pytest.raises(Reached):
+        profile_by_tracing(random_matching_graph(39, seed=0), max_vertices=64)
 
 
-def test_threads_same_result():
+def _double_factorial(k):
+    return 1 if k <= 0 else k * _double_factorial(k - 2)
+
+
+def test_threads_same_result(monkeypatch):
     g = random_matching_graph(8, seed=5)
     single = profile_by_tracing(g, threads=1)
     multi = profile_by_tracing(g, threads=4)
     assert single.coefficients == multi.coefficients
+    # many small chunks: every thread count merges to the same profile
+    monkeypatch.setattr(_tracer, "_CHUNK", 27)
+    for threads in (2, 3, 5):
+        assert profile_by_tracing(g, threads=threads) == single
+
+
+def test_threads_bounded_window(monkeypatch):
+    # while the first chunk stalls, the pool may only hold 2 * threads
+    # chunks; submitting all 243 chunks up front would start them all
+    g = random_matching_graph(8, seed=5)
+    monkeypatch.setattr(_tracer, "_CHUNK", 27)
+    real = _tracer.trace_chunk
+    started = []
+    in_flight_at_stall = []
+
+    def stalling(lut, pow3, n, lo, hi):
+        started.append(lo)
+        if lo == 0:
+            time.sleep(0.3)
+            in_flight_at_stall.append(len(started))
+        return real(lut, pow3, n, lo, hi)
+
+    monkeypatch.setattr(_tracer, "trace_chunk", stalling)
+    threads = 3
+    prof = profile_by_tracing(g, threads=threads)
+    assert len(started) == 3 ** 8 // 27
+    assert in_flight_at_stall[0] <= 2 * threads
+    assert prof.coefficients == naive_profile(g)
+
+
+def test_numpy_loads_only_for_tracer():
+    code = (
+        "import sys, interlacement as il\n"
+        "g = il.random_matching_graph(5, seed=1)\n"
+        "il.profile_by_frontier(g); il.profile_by_nullity(g)\n"
+        "print('numpy' in sys.modules)\n"
+        "il.profile_by_tracing(g)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout.split() == ["False", "True"], proc.stderr
 
 
 def test_validate_catches_bad_profile():
