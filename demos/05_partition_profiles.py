@@ -5,10 +5,10 @@ engine (the default) never visits the 3^n systems one at a time: it
 opens the vertices one by one and keeps, for each way the partial
 circuits pair up the edges leaving the opened set, a histogram of the
 circuits already closed.  The tracing engine follows every circuit of
-every transition system directly (vectorized, chunked, optionally
-threaded).  The nullity engine never traces: it builds the modified
-interlacement matrix for each system and reads the circuit count off
-the GF(2) rank.  Agreement is a strong end-to-end check of the
+every transition system directly (vectorized, in fixed chunks).  The
+nullity engine never traces: it reads each circuit count off the GF(2)
+nullity of a principal submatrix of the interlacement adjacency, with
+ones on the diagonal at the psi vertices.  Agreement is a strong end-to-end check of the
 combinatorics and the linear algebra.
 """
 
@@ -44,10 +44,6 @@ print()
 
 # the coefficient at the component count is the number of euler systems
 print("euler systems of this graph:", euler_count(g))
-
-# threads change nothing but the wall clock
-threaded = profile_by_tracing(g, threads=4)
-print("threaded run identical:", threaded.coefficients == trace.coefficients)
 print()
 
 # the frontier engine's cost follows the frontier width, not 3^n:

@@ -6,15 +6,13 @@ runs, so the other commands do not pay for importing numpy.
 The base-3 counter over vertices in index order is split into fixed
 chunks of ``_CHUNK`` systems.  Each chunk is traced with numpy (cycle
 minima by pointer doubling) into a histogram of circuit counts, and the
-histograms merge by addition, so the result does not depend on how many
-threads trace the chunks.
+histograms merge by addition, so the result does not depend on the
+chunk size.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict
 
 import numpy as np
@@ -63,49 +61,21 @@ def trace_chunk(
     return np.bincount(counts, minlength=2 * n + 1)
 
 
-def circuit_histogram(g: Graph4R, threads: int) -> Dict[int, int]:
+def circuit_histogram(g: Graph4R) -> Dict[int, int]:
     """{circuit count: systems} over all 3^n systems, traced chunk by chunk.
 
-    The caller guarantees that 3^n fits in int64.  With ``threads`` > 1
-    at most ``2 * threads`` chunks are in flight at a time, so memory
-    stays bounded however many chunks the counter range has.
+    The caller guarantees that 3^n fits in int64.  One chunk is in
+    memory at a time.
     """
     n = g.n
     total = 3 ** n
     lut = succ_lut(g)
     pow3 = np.array([3 ** (n - 1 - v) for v in range(n)], dtype=np.int64)
-    starts = range(0, total, _CHUNK)
     acc = np.zeros(2 * n + 1, dtype=np.int64)
-
-    def work(lo):
-        return trace_chunk(lut, pow3, n, lo, min(lo + _CHUNK, total))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = _in_window(pool, work, starts, 2 * threads)
-            for lo, part in zip(starts, parts):
-                acc += part
-                _report_progress(lo, min(lo + _CHUNK, total))
-    else:
-        for lo in starts:
-            acc += work(lo)
-            _report_progress(lo, min(lo + _CHUNK, total))
+    for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
+        acc += trace_chunk(lut, pow3, n, lo, hi)
+        if hi // _PROGRESS_EVERY > lo // _PROGRESS_EVERY:
+            logger.info("profile: %d transition systems processed", hi)
     return {k: int(v) for k, v in enumerate(acc) if v}
 
-
-def _in_window(pool, fn, items, window):
-    """``pool.map(fn, items)`` with at most ``window`` calls submitted
-    and not yet consumed; results come back in the order of ``items``."""
-    pending = deque()
-    for item in items:
-        pending.append(pool.submit(fn, item))
-        if len(pending) == window:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
-
-
-def _report_progress(lo: int, hi: int) -> None:
-    """Log when the counter passes a multiple of ``_PROGRESS_EVERY``."""
-    if hi // _PROGRESS_EVERY > lo // _PROGRESS_EVERY:
-        logger.info("profile: %d transition systems processed", hi)

@@ -220,6 +220,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+def _count(text: str) -> int:
+    """argparse type of a count flag: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="interlacement",
@@ -264,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graphfile")
     p.add_argument(
         "--limit",
-        type=int,
+        type=_count,
         default=20_000,
         metavar="N",
         help="abort if the orbit exceeds N systems (default 20000)",
@@ -283,14 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "nullity and compare)",
     )
     p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="N",
-        help="threads for the trace engine (default 1); the other engines "
-        "run on one",
-    )
-    p.add_argument(
         "--force",
         action="store_true",
         help="raise the vertex count and frontier state guards",
@@ -306,14 +309,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     mode.add_argument(
         "--samples",
-        type=int,
+        type=_count,
         metavar="N",
         help="check N random configurations instead",
     )
     p.add_argument("--seed", type=int, default=0, metavar="S")
     p.add_argument(
         "--size",
-        type=int,
+        type=_count,
         default=8,
         metavar="N",
         help="vertices per generated graph when graphfile is omitted "
@@ -415,7 +418,7 @@ def cmd_profile(args) -> int:
     # 1 KB per state
     states = 2_027_025 if args.force else DEFAULT_STATE_GUARD
     if args.engine == "trace":
-        profile = profile_by_tracing(g, max_vertices=guard, threads=args.threads)
+        profile = profile_by_tracing(g, max_vertices=guard)
     elif args.engine == "nullity":
         profile = profile_by_nullity(g, max_vertices=guard)
     else:

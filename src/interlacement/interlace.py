@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .errors import GraphMismatch, UnknownVertex
+from .errors import GraphError, GraphMismatch, UnknownVertex
 from .euler import (
     EulerSystem,
     TransitionLabel,
@@ -68,18 +68,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimpleGraph:
-    """A simple graph on an ordered vertex set, adjacency as bit rows."""
+    """A simple graph on an ordered vertex set, adjacency as bit rows.
+
+    Raises ``GraphError`` on construction when the rows do not match the
+    vertices in number or width, or describe a loop or an asymmetric
+    adjacency; ``from_edges`` raises ``UnknownVertex`` for an endpoint
+    outside ``vertices``.
+    """
 
     vertices: Tuple[object, ...]
     rows: Tuple[int, ...]
 
     def __post_init__(self):
         n = len(self.vertices)
-        assert len(self.rows) == n
+        if len(self.rows) != n:
+            raise GraphError(f"{len(self.rows)} adjacency rows for {n} vertices")
         for i, r in enumerate(self.rows):
-            assert r >> n == 0 and not (r >> i) & 1, "no loops"
+            if r < 0 or r >> n:
+                raise GraphError(f"row {i} does not fit in {n} vertices")
+            if r >> i & 1:
+                raise GraphError(f"loop at {self.vertices[i]!r}")
             for j in iter_bits(r):
-                assert (self.rows[j] >> i) & 1, "adjacency must be symmetric"
+                if not self.rows[j] >> i & 1:
+                    raise GraphError(
+                        f"adjacency not symmetric: {self.vertices[i]!r} -> "
+                        f"{self.vertices[j]!r}"
+                    )
 
     @classmethod
     def from_edges(cls, vertices: Iterable, edges: Iterable[Tuple]) -> "SimpleGraph":
@@ -87,8 +101,12 @@ class SimpleGraph:
         index = {v: i for i, v in enumerate(vs)}
         rows = [0] * len(vs)
         for a, b in edges:
+            for end in (a, b):
+                if end not in index:
+                    raise UnknownVertex(f"vertex {end!r} is not in the graph")
             i, j = index[a], index[b]
-            assert i != j
+            if i == j:
+                raise GraphError(f"loop at {a!r}")
             rows[i] |= 1 << j
             rows[j] |= 1 << i
         return cls(vs, tuple(rows))

@@ -13,14 +13,12 @@ compute it:
   to Jaeger's transition polynomial.  Its cost grows with the frontier
   width, not with n;
 * the tracing engine enumerates the base-3 counter over vertices in
-  index order and counts successor orbits, vectorized with numpy in
-  fixed chunks (cycle minima by pointer doubling).  Partial profiles
-  merge by coefficient addition, so the result is independent of its
-  thread count;
-* the nullity engine reuses one all-chi matrix per Euler system and
-  patches the phi/psi columns per transition system, reading the
-  circuit count off the kernel dimension.  It is pure Python under the
-  interpreter lock and runs on one thread.
+  index order and counts successor orbits, vectorized with numpy one
+  fixed chunk at a time (cycle minima by pointer doubling);
+* the nullity engine reads each circuit count off a kernel dimension:
+  for every pair T <= S <= V it takes the nullity of A[S] + I_T, the
+  principal submatrix on S of the interlacement adjacency A of one
+  Euler system with ones on the diagonal at T.  It is pure Python.
 
 The tracing and nullity engines are the oracles the frontier engine is
 checked against.
@@ -269,7 +267,6 @@ def profile_by_tracing(
     g: Graph4R,
     *,
     max_vertices: int = DEFAULT_ENUMERATION_GUARD,
-    threads: int = 1,
 ) -> PartitionProfile:
     """Profile computed by tracing every transition system.
 
@@ -285,34 +282,31 @@ def profile_by_tracing(
         )
     from ._tracer import circuit_histogram  # numpy loads only here
 
-    profile = PartitionProfile(circuit_histogram(g, threads), g.n, g.c)
+    profile = PartitionProfile(circuit_histogram(g), g.n, g.c)
     profile.validate()
     return profile
 
 
 def _nullity_histogram(g: Graph4R, c: EulerSystem) -> Dict[int, int]:
-    """Histogram of circuit counts via kernel dimensions."""
-    n = g.n
-    comp = g.c
-    base = interlacement_graph(c).rows
-    phi = c.ts.codes
-    psi = c.psi_codes
-    pow3 = [3 ** (n - 1 - v) for v in range(n)]
+    """Histogram of circuit counts via nullities of principal submatrices.
+
+    A transition system is a pair T <= S <= V: S holds the vertices not
+    labelled phi and T the psi ones.  Its circuit count is
+    c(g) + |S| - rank(A[S] + I_T), with A the interlacement adjacency.
+    """
+    adj = interlacement_graph(c).rows
     hist: Dict[int, int] = {}
-    for idx in range(3 ** n):
-        phi_mask = 0
-        psi_mask = 0
-        for v in range(n):
-            code = (idx // pow3[v]) % 3
-            if code == phi[v]:
-                phi_mask |= 1 << v
-            elif code == psi[v]:
-                psi_mask |= 1 << v
-        rows = [r & ~phi_mask for r in base]
-        for v in iter_bits(phi_mask | psi_mask):
-            rows[v] |= 1 << v
-        k = comp + n - rank_rows(rows, n)
-        hist[k] = hist.get(k, 0) + 1
+    for s in range(1 << g.n):
+        members = list(iter_bits(s))
+        sub = [adj[v] & s for v in members]
+        t = s
+        while True:
+            rows = [r | (t & 1 << v) for v, r in zip(members, sub)]
+            k = g.c + len(members) - rank_rows(rows, g.n)
+            hist[k] = hist.get(k, 0) + 1
+            if not t:
+                break
+            t = (t - 1) & s
     return hist
 
 
@@ -326,8 +320,12 @@ def profile_by_nullity(
 
     For every transition system P, the circuit count is the component
     count plus the kernel dimension of the modified interlacement matrix
-    of (c, P).  One adjacency base per Euler system is reused, with the
-    phi/psi columns patched per system.
+    M(c, P).  A phi column of M(c, P) is a unit column, so that kernel
+    dimension is |S| - rank(A[S] + I_T), where A is the adjacency of the
+    interlacement graph of c, S the non-phi vertices and T the psi
+    vertices of P: the principal-submatrix form of the global interlace
+    polynomial (Aigner and van der Holst; Traldi).  The engine counts
+    these nullities over all 3^n pairs T <= S <= V.
 
     Args:
         c: reference Euler system; defaults to ``hierholzer(g)``.

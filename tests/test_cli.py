@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from interlacement import ParseError, PartitionProfile, hierholzer
-from interlacement import random_matching_graph
+from interlacement import profile_by_tracing, random_matching_graph
 from interlacement.cli import (
     format_graph,
     format_transitions,
@@ -266,6 +266,29 @@ def test_orbit_golden(capsys, g4_file):
     assert lines == sorted(lines[:-1]) + ["count: 6"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "G", "--samples", "0"),
+        ("verify", "G", "--samples", "-2"),
+        ("verify", "--size", "3", "--samples", "-1"),
+        ("verify", "--samples", "3", "--size", "0"),
+        ("orbit", "G", "--limit", "-1"),
+        ("orbit", "G", "--limit", "0"),
+    ],
+)
+def test_counts_below_one_exit_one(capsys, g4_file, argv):
+    argv = [g4_file if a == "G" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"argument {argv[-2]}: must be at least 1, got {argv[-1]}" in err
+
+
+def test_count_flag_not_an_integer(capsys, g4_file):
+    code, out, err = run_cli(capsys, "verify", g4_file, "--samples", "two")
+    assert code == 1 and "invalid int value: 'two'" in err
+
+
 def test_orbit_limit_guard(capsys, g4_file):
     code, out, err = run_cli(capsys, "orbit", g4_file, "--limit", "3")
     assert code == 3
@@ -387,30 +410,17 @@ def test_help_exits_zero(capsys):
     assert "validate" in out and "verify" in out
 
 
-def test_console_script_byte_identical_threads(tmp_path):
-    # same trace-engine profile through the installed entry point,
-    # single and multi threaded, must be byte for byte identical
+def test_console_script_trace_profile(tmp_path):
+    # the trace-engine profile through the module entry point prints
+    # the in-process profile, newline-terminated
     p = tmp_path / "g.graph"
     g = random_matching_graph(8, seed=3)
     p.write_text(format_graph(g))
-    runs = []
-    for threads in ("1", "4"):
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "interlacement",
-                "profile",
-                str(p),
-                "--engine",
-                "trace",
-                "--threads",
-                threads,
-            ],
-            capture_output=True,
-            text=True,
-        )
-        runs.append(proc)
-    assert all(r.returncode == 0 for r in runs)
-    assert runs[0].stdout == runs[1].stdout
-    assert runs[0].stdout.endswith("\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "interlacement", "profile", str(p), "--engine", "trace"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expect = " ".join(f"{k}:{v}" for k, v in profile_by_tracing(g).sorted_items())
+    assert proc.stdout == expect + "\n"

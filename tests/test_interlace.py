@@ -1,14 +1,18 @@
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 
 from interlacement import (
     GF2Matrix,
+    GraphError,
     GraphMismatch,
     SimpleGraph,
     TransitionLabel,
     TransitionSystem,
+    UnknownVertex,
     adjacency_matrix,
     check_core_independence,
     check_core_kernel,
@@ -74,10 +78,37 @@ def test_interlacement_golden(g_4par, g_loops):
 
 
 def test_simple_graph_guards():
-    with pytest.raises(AssertionError):
-        SimpleGraph(("a",), (1,))  # loop
-    with pytest.raises(AssertionError):
-        SimpleGraph(("a", "b"), (2, 0))  # asymmetric
+    with pytest.raises(GraphError, match="loop"):
+        SimpleGraph(("a",), (1,))
+    with pytest.raises(GraphError, match="symmetric"):
+        SimpleGraph(("a", "b"), (2, 0))
+    with pytest.raises(GraphError, match="2 adjacency rows for 1"):
+        SimpleGraph(("a",), (0, 0))
+    with pytest.raises(GraphError, match="fit"):
+        SimpleGraph(("a", "b"), (4, 0))
+    with pytest.raises(GraphError, match="fit"):
+        SimpleGraph(("a", "b"), (-1, 0))
+    with pytest.raises(GraphError, match="loop"):
+        SimpleGraph.from_edges(("a", "b"), [("a", "a")])
+    with pytest.raises(UnknownVertex, match="'c'"):
+        SimpleGraph.from_edges(("a", "b"), [("a", "c")])
+
+
+def test_simple_graph_guards_survive_optimize():
+    # python -O strips assert statements; the guards must still raise
+    code = (
+        "from interlacement import GraphError, SimpleGraph\n"
+        "for make in (lambda: SimpleGraph.from_edges(('a', 'b'), [('a', 'a')]),\n"
+        "             lambda: SimpleGraph(('a', 'b'), (2, 0))):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except GraphError as exc:\n"
+        "        print(type(exc).__name__)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True
+    )
+    assert proc.stdout.split() == ["GraphError", "GraphError"], proc.stderr
 
 
 def test_simple_local_complement_involution():
@@ -282,6 +313,47 @@ def test_nullity_formula(g):
         nullity, p_size, comps = circuit_nullity(g, c, ts)
         assert comps == g.c
         assert nullity == p_size - comps
+
+
+def principal_cases(g):
+    """(nullity of M(c, ts), S, T) for every transition system ts, with
+    S the non-phi and T the psi vertices of ts relative to c."""
+    c = hierholzer(g)
+    for ts in all_ts(g):
+        labels = label_transitions(c, ts)
+        s = [v for v in g.vertices if labels[v] is not TransitionLabel.PHI]
+        t = {v for v in s if labels[v] is TransitionLabel.PSI}
+        m = modified_interlacement_matrix(c, ts).matrix
+        yield g.n - rank(m), s, t
+
+
+def principal_nullity(h, s, t):
+    # |S| - rank(A[S] + I_T), with A[S] written out as an |S| x |S| matrix
+    a = adjacency_matrix(h).to_lists()
+    idx = [h.vertex_index(v) for v in s]
+    sub = [
+        [a[i][j] ^ (i == j and v in t) for j in idx] for i, v in zip(idx, s)
+    ]
+    return len(s) - rank(GF2Matrix.from_rows(sub))
+
+
+@pytest.mark.parametrize("g", corpus(5), ids=lambda g: "-".join(g.vertices))
+def test_principal_submatrix_nullity(g):
+    # a phi column of M(c, ts) is a unit column, so its nullity is that
+    # of the principal submatrix on the other vertices
+    h = interlacement_graph(hierholzer(g))
+    for nullity, s, t in principal_cases(g):
+        assert nullity == principal_nullity(h, s, t)
+
+
+def test_principal_submatrix_nullity_control():
+    # with psi and chi swapped the identity must fail somewhere, or the
+    # check above could not tell the labels apart
+    assert any(
+        nullity != principal_nullity(interlacement_graph(hierholzer(g)), s, set(s) - t)
+        for g in corpus(5)
+        for nullity, s, t in principal_cases(g)
+    )
 
 
 def test_nullity_formula_large_random():

@@ -1,7 +1,7 @@
 import itertools
+import logging
 import subprocess
 import sys
-import time
 from collections import Counter
 
 import pytest
@@ -173,7 +173,7 @@ def test_guard(monkeypatch):
     class Reached(Exception):
         pass
 
-    def stub(g, threads):
+    def stub(g):
         raise Reached
 
     monkeypatch.setattr(_tracer, "circuit_histogram", stub)
@@ -187,39 +187,24 @@ def _double_factorial(k):
     return 1 if k <= 0 else k * _double_factorial(k - 2)
 
 
-def test_threads_same_result(monkeypatch):
+def test_chunk_merge_same_result(monkeypatch):
+    # 243 chunks of 27 systems merge to the one-chunk profile
     g = random_matching_graph(8, seed=5)
-    single = profile_by_tracing(g, threads=1)
-    multi = profile_by_tracing(g, threads=4)
-    assert single.coefficients == multi.coefficients
-    # many small chunks: every thread count merges to the same profile
+    whole = profile_by_tracing(g)
     monkeypatch.setattr(_tracer, "_CHUNK", 27)
-    for threads in (2, 3, 5):
-        assert profile_by_tracing(g, threads=threads) == single
+    assert profile_by_tracing(g) == whole
+    assert whole.coefficients == naive_profile(g)
 
 
-def test_threads_bounded_window(monkeypatch):
-    # while the first chunk stalls, the pool may only hold 2 * threads
-    # chunks; submitting all 243 chunks up front would start them all
-    g = random_matching_graph(8, seed=5)
-    monkeypatch.setattr(_tracer, "_CHUNK", 27)
-    real = _tracer.trace_chunk
-    started = []
-    in_flight_at_stall = []
-
-    def stalling(lut, pow3, n, lo, hi):
-        started.append(lo)
-        if lo == 0:
-            time.sleep(0.3)
-            in_flight_at_stall.append(len(started))
-        return real(lut, pow3, n, lo, hi)
-
-    monkeypatch.setattr(_tracer, "trace_chunk", stalling)
-    threads = 3
-    prof = profile_by_tracing(g, threads=threads)
-    assert len(started) == 3 ** 8 // 27
-    assert in_flight_at_stall[0] <= 2 * threads
-    assert prof.coefficients == naive_profile(g)
+def test_tracer_logs_progress(monkeypatch, caplog):
+    # 81 chunks of 81 systems, one progress line per 27 chunks
+    monkeypatch.setattr(_tracer, "_CHUNK", 81)
+    monkeypatch.setattr(_tracer, "_PROGRESS_EVERY", 81 * 27)
+    with caplog.at_level(logging.INFO, logger=_tracer.__name__):
+        profile_by_tracing(random_matching_graph(8, seed=5))
+    assert caplog.messages == [
+        f"profile: {k} transition systems processed" for k in (2187, 4374, 6561)
+    ]
 
 
 def test_numpy_loads_only_for_tracer():
