@@ -5,7 +5,8 @@ engine (the default) never visits the 3^n systems one at a time: it
 opens the vertices one by one and keeps, for each way the partial
 circuits pair up the edges leaving the opened set, a histogram of the
 circuits already closed.  The tracing engine follows every circuit of
-every transition system directly (vectorized, in fixed chunks).  The
+every transition system directly (a depth-first walk over the
+vertices that joins path ends and undoes the joins on the way back).  The
 nullity engine never traces: it reads each circuit count off the GF(2)
 nullity of a principal submatrix of the interlacement adjacency, with
 ones on the diagonal at the psi vertices.  Agreement is a strong end-to-end check of the
@@ -47,7 +48,7 @@ print("euler systems of this graph:", euler_count(g))
 print()
 
 # the frontier engine's cost follows the frontier width, not 3^n:
-# 3^12 already takes the tracer seconds, 3^24 would take it days
+# the tracer's time triples with each vertex, so 3^24 would take it days
 g12 = random_matching_graph(12, seed=0, connected=True)
 t0 = time.perf_counter()
 frontier12 = profile_by_frontier(g12)

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InterlacementError, InvalidProfile, ParseError, TooLarge
 from .euler import (
+    DEFAULT_ENUMERATION_GUARD,
     EulerSystem,
     TransitionLabel,
     dow,
@@ -57,6 +58,14 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_PROPERTY = 2
 EXIT_GUARD = 3
+
+# profile --force guards.  3^39 (about 4e18) transition systems is far
+# past any run that finishes, so the 3^n engines refuse n >= 40 up
+# front.  15!! pairings admit frontiers of up to 16 edges; random
+# connected 32-vertex graphs reach 1.3-1.8M states in 1.5-2.5 min, at
+# about 1 KB per state.
+_FORCED_VERTEX_GUARD = 39
+_FORCED_STATE_GUARD = 2_027_025
 
 _LABELS = {lbl.value: lbl for lbl in TransitionLabel}
 
@@ -194,6 +203,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 ({exc.reason})") from None
 
 
 def _load_graph(path: str) -> Graph4R:
@@ -412,11 +423,8 @@ def _profile_line(profile) -> str:
 
 def cmd_profile(args) -> int:
     g = _load_graph(args.graphfile)
-    guard = 64 if args.force else 20
-    # 15!! pairings: frontiers of up to 16 edges; random connected
-    # 32-vertex graphs reach 1.3-1.8M states in 1.5-2.5 min, at about
-    # 1 KB per state
-    states = 2_027_025 if args.force else DEFAULT_STATE_GUARD
+    guard = _FORCED_VERTEX_GUARD if args.force else DEFAULT_ENUMERATION_GUARD
+    states = _FORCED_STATE_GUARD if args.force else DEFAULT_STATE_GUARD
     if args.engine == "trace":
         profile = profile_by_tracing(g, max_vertices=guard)
     elif args.engine == "nullity":

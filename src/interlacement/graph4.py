@@ -338,21 +338,6 @@ class Circuit:
         """Vertex index under each crossing, in traversal order."""
         return tuple(h >> 2 for h, _ in self.crossings)
 
-    def half_edges_used(self) -> Tuple[int, ...]:
-        out = []
-        for hin, hout in self.crossings:
-            out.append(hin)
-            out.append(hout)
-        return tuple(out)
-
-    def edge_keys(self, g: Graph4R) -> Tuple[Tuple[int, int], ...]:
-        """Edges covered, one per crossing, as sorted half-edge index pairs."""
-        out = []
-        for _, hout in self.crossings:
-            far = g.other_end_table[hout]
-            out.append((hout, far) if hout < far else (far, hout))
-        return tuple(out)
-
     def reversed_circuit(self) -> "Circuit":
         """The same closed walk traversed backwards."""
         rev = tuple(

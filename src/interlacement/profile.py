@@ -12,9 +12,10 @@ compute it:
   closed: the transfer-matrix method of Sekine, Imai and Tani applied
   to Jaeger's transition polynomial.  Its cost grows with the frontier
   width, not with n;
-* the tracing engine enumerates the base-3 counter over vertices in
-  index order and counts successor orbits, vectorized with numpy one
-  fixed chunk at a time (cycle minima by pointer doubling);
+* the tracing engine walks the 3^n systems depth first, fixing the
+  vertices' transitions in index order; each transition joins the
+  open paths at its slots and counts the circuits that close, and the
+  walk undoes its joins on the way back;
 * the nullity engine reads each circuit count off a kernel dimension:
   for every pair T <= S <= V it takes the nullity of A[S] + I_T, the
   principal submatrix on S of the interlacement adjacency A of one
@@ -49,7 +50,7 @@ __all__ = [
 # to 14 edges, which covers random connected graphs up to about n = 28
 DEFAULT_STATE_GUARD = 135_135
 
-_INT64_MAX = (1 << 63) - 1
+_PROGRESS_EVERY = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -234,9 +235,12 @@ def profile_by_frontier(
             f"frontier profile of {g.n} vertices refused: up to {bound} "
             f"states (guard at {max_states}); raise the guard to override"
         )
-    states: Dict[Tuple[int, ...], Dict[int, int]] = {(): {0: 1}}
+    # a histogram is one int, sum of count << (closed * field): no
+    # count exceeds 3^n, so the fields never carry into each other
+    field = (3 ** g.n).bit_length()
+    states: Dict[Tuple[int, ...], int] = {(): 1}
     for step in steps:
-        nxt: Dict[Tuple[int, ...], Dict[int, int]] = {}
+        nxt: Dict[Tuple[int, ...], int] = {}
         for mates, hist in states.items():
             ext = list(step.ext)
             for s, i in step.taken:
@@ -250,17 +254,66 @@ def profile_by_frontier(
                 new = base.copy()
                 closed = _join(ext, partner, new)
                 key = tuple(new)
-                target = nxt.get(key)
-                if target is None:
-                    nxt[key] = {k + closed: c for k, c in hist.items()}
-                else:
-                    for k, c in hist.items():
-                        target[k + closed] = target.get(k + closed, 0) + c
+                nxt[key] = nxt.get(key, 0) + (hist << closed * field)
         states = nxt
-    (coefficients,) = states.values()
+    (packed,) = states.values()
+    mask = (1 << field) - 1
+    coefficients = {
+        k: count
+        for k in range(2 * g.n + 1)
+        if (count := packed >> k * field & mask)
+    }
     profile = PartitionProfile(coefficients, g.n, g.c)
     profile.validate()
     return profile
+
+
+def _circuit_histogram(g: Graph4R) -> Dict[int, int]:
+    """{circuit count: systems} over all 3^n systems, depth first.
+
+    The walk fixes the vertices' transitions in index order.  ``end[h]``
+    is the far end of the open path that ends at half-edge h.  A
+    transition joins its two slot couples; a couple whose slots end
+    the same path closes a circuit.  Joins are undone on the way back.
+    """
+    # imported here, not at the top: importing logging adds 5-8 ms to
+    # the start of every command, and only this oracle logs
+    import logging
+
+    logger = logging.getLogger(__name__)
+    n = g.n
+    end = list(g.other_end_table)
+    # each transition as its two slot couples (a, b) and (c, d)
+    couples = []
+    for partner in PARTNER_BY_CODE:
+        c = min(s for s in range(1, 4) if s != partner[0])
+        couples.append((0, partner[0], c, partner[c]))
+    quads = [
+        [(4 * v + a, 4 * v + b, 4 * v + c, 4 * v + d) for a, b, c, d in couples]
+        for v in range(n)
+    ]
+    hist = [0] * (2 * n + 1)
+    leaves = 0
+
+    def walk(v: int, closed: int) -> None:
+        nonlocal leaves
+        if v == n:
+            hist[closed] += 1
+            leaves += 1
+            if leaves % _PROGRESS_EVERY == 0:
+                logger.info("profile: %d transition systems processed", leaves)
+            return
+        for a, b, c, d in quads[v]:
+            x, y = end[a], end[b]
+            end[x], end[y] = y, x
+            z, w = end[c], end[d]
+            end[z], end[w] = w, z
+            walk(v + 1, closed + (x == b) + (z == d))
+            end[z], end[w] = c, d
+            end[x], end[y] = a, b
+
+    walk(0, 0)
+    return {k: count for k, count in enumerate(hist) if count}
 
 
 def profile_by_tracing(
@@ -270,19 +323,15 @@ def profile_by_tracing(
 ) -> PartitionProfile:
     """Profile computed by tracing every transition system.
 
+    A depth-first walk fixes one vertex's transition per level and
+    counts the circuits it closes; each of the 3^n leaves is one
+    transition system.  It shares no code with the other engines.
+
     Raises:
-        TooLarge: the graph exceeds the enumeration guard, or 3^n
-            overflows the tracer's int64 counter.
+        TooLarge: the graph exceeds the enumeration guard.
     """
     _check_guard(g, max_vertices)
-    if 3 ** g.n > _INT64_MAX:
-        raise TooLarge(
-            f"profile over 3^{g.n} transition systems refused: the trace "
-            "engine counts in int64, which holds at most 3^39"
-        )
-    from ._tracer import circuit_histogram  # numpy loads only here
-
-    profile = PartitionProfile(circuit_histogram(g), g.n, g.c)
+    profile = PartitionProfile(_circuit_histogram(g), g.n, g.c)
     profile.validate()
     return profile
 

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interlacement import ParseError, PartitionProfile, hierholzer
 from interlacement import profile_by_tracing, random_matching_graph
@@ -295,6 +299,47 @@ def test_orbit_limit_guard(capsys, g4_file):
     assert "guard:" in err
 
 
+# fragments of both file formats, valid and broken, glued at random
+_TOKENS = st.sampled_from(
+    [
+        "vertices:", "edge ", "u", "v", "w", "u.0", "u.3", "v.1", "v.4",
+        "u.", ".0", "u.v.2", "01|23", "02|13", "03|12", "12|03", "phi",
+        "chi", "psi", ":", "#", "|", ".", " ", "\t", "\n", "\r", "\x00",
+    ]
+)
+_FUZZ_INPUT = st.one_of(
+    st.lists(st.one_of(_TOKENS, st.text(max_size=3))).map(
+        lambda parts: "".join(parts).encode("utf-8")
+    ),
+    st.binary(),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "good.graph").write_text(G4PAR)
+    return d
+
+
+@given(data=_FUZZ_INPUT)
+@settings(max_examples=200, deadline=None)
+def test_parsers_fuzz(fuzz_dir, data):
+    # any input file gives exit 0 or 1 and no exception escapes main
+    path = fuzz_dir / "input"
+    path.write_bytes(data)
+    good = str(fuzz_dir / "good.graph")
+    for argv in (
+        ["validate", str(path)],
+        ["matrix", good, "--partition", str(path)],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            code = main(argv)
+        assert code in (0, 1), (argv, data)
+
+
 def test_profile_golden(capsys, loops_file):
     code, out, err = run_cli(capsys, "profile", loops_file)
     assert code == 0
@@ -313,14 +358,20 @@ def test_profile_frontier_guard(capsys, g4_file, monkeypatch):
     assert (code, out) == (0, "1:6 2:3\n")
 
 
-def test_profile_trace_int64_guard(capsys, tmp_path):
-    # 3^41 overflows the tracer's int64 counter; refused before any work
+def test_profile_forced_vertex_guard(capsys, tmp_path):
+    # --force admits at most 39 vertices to the 3^n engines; n = 41 is
+    # refused before any work
     p = tmp_path / "g41.graph"
     p.write_text(format_graph(random_matching_graph(41, seed=0)))
-    code, out, err = run_cli(
-        capsys, "profile", str(p), "--engine", "trace", "--force"
-    )
-    assert code == 3 and "int64" in err and "Traceback" not in err
+    for engine in ("trace", "nullity"):
+        code, out, err = run_cli(
+            capsys, "profile", str(p), "--engine", engine, "--force"
+        )
+        assert code == 3 and out == "" and "Traceback" not in err
+        assert err == (
+            "guard: profile over 3^41 transition systems refused "
+            "(guard at 39 vertices); raise the guard to override\n"
+        )
 
 
 def test_profile_both_engines(capsys, g4_file):

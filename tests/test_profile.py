@@ -24,7 +24,8 @@ from interlacement import (
     profile_by_tracing,
     random_matching_graph,
 )
-from interlacement import _tracer
+from interlacement import profile as profile_module
+from interlacement.cli import format_graph
 from interlacement.profile import _frontier_plan, _state_bound
 from conftest import corpus, graph_disconnected, graph_two_loops
 
@@ -38,7 +39,11 @@ def naive_profile(g):
     return dict(counts)
 
 
-@pytest.mark.parametrize("g", corpus(5), ids=lambda g: "-".join(g.vertices))
+@pytest.mark.parametrize(
+    "g",
+    corpus(5) + [pytest.param(random_matching_graph(8, seed=5), id="random-n8-s5")],
+    ids=lambda g: "-".join(g.vertices),
+)
 def test_tracing_against_naive(g):
     assert dict(profile_by_tracing(g).coefficients) == naive_profile(g)
 
@@ -152,7 +157,7 @@ def test_euler_count_matches_orbit():
         assert euler_count(g) == len(orbit)
 
 
-def test_guard(monkeypatch):
+def test_guard():
     g = random_matching_graph(7, seed=0)
     with pytest.raises(TooLarge):
         profile_by_tracing(g, max_vertices=6)
@@ -167,57 +172,40 @@ def test_guard(monkeypatch):
     with pytest.raises(TooLarge, match=f"up to {bound} states"):
         profile_by_frontier(g, max_states=bound - 1)
     assert profile_by_frontier(g, max_states=bound).total() == 3 ** 7
-    # the tracer refuses 3^40, past int64, but lets 3^39 through to its
-    # chunk loop (stubbed here: the real run would take centuries)
-
-    class Reached(Exception):
-        pass
-
-    def stub(g):
-        raise Reached
-
-    monkeypatch.setattr(_tracer, "circuit_histogram", stub)
-    with pytest.raises(TooLarge, match="int64"):
-        profile_by_tracing(random_matching_graph(40, seed=0), max_vertices=64)
-    with pytest.raises(Reached):
-        profile_by_tracing(random_matching_graph(39, seed=0), max_vertices=64)
 
 
 def _double_factorial(k):
     return 1 if k <= 0 else k * _double_factorial(k - 2)
 
 
-def test_chunk_merge_same_result(monkeypatch):
-    # 243 chunks of 27 systems merge to the one-chunk profile
-    g = random_matching_graph(8, seed=5)
-    whole = profile_by_tracing(g)
-    monkeypatch.setattr(_tracer, "_CHUNK", 27)
-    assert profile_by_tracing(g) == whole
-    assert whole.coefficients == naive_profile(g)
-
-
 def test_tracer_logs_progress(monkeypatch, caplog):
-    # 81 chunks of 81 systems, one progress line per 27 chunks
-    monkeypatch.setattr(_tracer, "_CHUNK", 81)
-    monkeypatch.setattr(_tracer, "_PROGRESS_EVERY", 81 * 27)
-    with caplog.at_level(logging.INFO, logger=_tracer.__name__):
+    # 3^8 leaves, one progress line per 3^7
+    monkeypatch.setattr(profile_module, "_PROGRESS_EVERY", 2187)
+    with caplog.at_level(logging.INFO, logger=profile_module.__name__):
         profile_by_tracing(random_matching_graph(8, seed=5))
     assert caplog.messages == [
         f"profile: {k} transition systems processed" for k in (2187, 4374, 6561)
     ]
 
 
-def test_numpy_loads_only_for_tracer():
+def test_runs_without_numpy(tmp_path):
+    # with numpy blocked, every engine and `profile --engine trace` run
+    g = random_matching_graph(5, seed=1)
+    path = tmp_path / "g5.graph"
+    path.write_text(format_graph(g))
     code = (
-        "import sys, interlacement as il\n"
+        "import sys; sys.modules['numpy'] = None\n"
+        "import interlacement as il\n"
+        "from interlacement.cli import main\n"
         "g = il.random_matching_graph(5, seed=1)\n"
-        "il.profile_by_frontier(g); il.profile_by_nullity(g)\n"
-        "print('numpy' in sys.modules)\n"
-        "il.profile_by_tracing(g)\n"
-        "print('numpy' in sys.modules)\n"
+        "p = il.profile_by_frontier(g)\n"
+        "assert p == il.profile_by_nullity(g) == il.profile_by_tracing(g)\n"
+        f"sys.exit(main(['profile', {str(path)!r}, '--engine', 'trace']))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.stdout.split() == ["False", "True"], proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    items = profile_by_frontier(g).sorted_items()
+    assert proc.stdout == " ".join(f"{k}:{v}" for k, v in items) + "\n"
 
 
 def test_validate_catches_bad_profile():
