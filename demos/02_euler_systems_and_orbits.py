@@ -14,6 +14,7 @@ from interlacement import (
     TransitionLabel,
     all_euler_systems_bruteforce,
     dow,
+    euler_count,
     hierholzer,
     kappa_transform,
     kotzig_orbit,
@@ -46,5 +47,8 @@ print()
 
 orbit = kotzig_orbit(g, c)
 brute = all_euler_systems_bruteforce(g)
-print(f"orbit size {len(orbit)}, brute-force count {len(brute)}")
+print(
+    f"orbit size {len(orbit)}, brute-force count {len(brute)}, "
+    f"frontier count {euler_count(g)}"
+)
 print("orbit = all euler systems:", {e.ts for e in orbit} == {e.ts for e in brute})

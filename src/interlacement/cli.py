@@ -39,6 +39,7 @@ from .graph4 import (
 from .interlace import modified_interlacement_matrix
 from .profile import (
     DEFAULT_STATE_GUARD,
+    euler_count,
     profile_by_frontier,
     profile_by_nullity,
     profile_by_tracing,
@@ -289,7 +290,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_count,
         default=20_000,
         metavar="N",
-        help="abort if the orbit exceeds N systems (default 20000)",
+        help="refuse, before enumerating, a graph with more than N euler "
+        "systems (default 20000)",
     )
 
     p = sub.add_parser(
@@ -404,8 +406,12 @@ def cmd_matrix(args) -> int:
 
 def cmd_orbit(args) -> int:
     g = _load_graph(args.graphfile)
-    c = hierholzer(g)
-    orbit = kotzig_orbit(g, c, limit=args.limit)
+    count = euler_count(g)
+    if count > args.limit:
+        raise TooLarge(
+            f"orbit of {count} Euler systems exceeds the limit of {args.limit}"
+        )
+    orbit = kotzig_orbit(g, hierholzer(g))
     for e in orbit:
         print(
             " ".join(

@@ -314,14 +314,13 @@ def _kappa_by_walk_reversal(c: EulerSystem, v) -> EulerSystem:
     return EulerSystem(g, new_ts, circuits)
 
 
-def kotzig_orbit(g: Graph4R, c: EulerSystem, limit: int | None = None):
+def kotzig_orbit(g: Graph4R, c: EulerSystem):
     """All Euler systems reachable from ``c`` by vertex transforms.
 
     Breadth-first closure over single-vertex transforms, deduplicated by
     transition system.  Returns the systems sorted by transition codes.
-
-    Raises:
-        TooLarge: the orbit grows past ``limit`` systems.
+    The orbit has no size guard of its own: compare ``euler_count(g)``
+    with a limit before building it.
     """
     if c.graph != g:
         raise GraphMismatch("Euler system belongs to a different graph")
@@ -332,10 +331,6 @@ def kotzig_orbit(g: Graph4R, c: EulerSystem, limit: int | None = None):
         for v in g.vertices:
             nxt = kappa_transform(cur, v)
             if nxt.ts not in seen:
-                if limit is not None and len(seen) >= limit:
-                    raise TooLarge(
-                        f"orbit exceeds the limit of {limit} Euler systems"
-                    )
                 seen[nxt.ts] = nxt
                 queue.append(nxt)
     return tuple(sorted(seen.values(), key=lambda e: e.ts.codes))

@@ -89,9 +89,6 @@ class GF2Vector:
 
     __xor__ = __add__
 
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
     def weight(self) -> int:
         return self.bits.bit_count()
 

@@ -167,15 +167,6 @@ class Graph4R:
         except KeyError:
             raise UnknownVertex(f"vertex {v!r} is not in the graph") from None
 
-    def half_edge_index(self, he) -> int:
-        v, s = he
-        if s not in SLOTS:
-            raise GraphError(f"slot {s!r} is not in 0..3")
-        return (self.vertex_index(v) << 2) | s
-
-    def half_edge(self, h: int) -> HalfEdge:
-        return HalfEdge(self.vertices[h >> 2], h & 3)
-
     def other_end(self, h: int) -> int:
         return self.other_end_table[h]
 
@@ -284,10 +275,6 @@ class TransitionSystem:
         for c in self.codes:
             if c not in (0, 1, 2):
                 raise GraphError(f"{c!r} is not a transition code")
-
-    @classmethod
-    def from_transitions(cls, transitions: Iterable[Transition]) -> "TransitionSystem":
-        return cls(tuple(t.code for t in transitions))
 
     @classmethod
     def from_map(cls, g: Graph4R, mapping: Dict) -> "TransitionSystem":

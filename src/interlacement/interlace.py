@@ -123,9 +123,6 @@ class SimpleGraph:
     def has_edge(self, a, b) -> bool:
         return bool((self.rows[self.vertex_index(a)] >> self.vertex_index(b)) & 1)
 
-    def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
-
 
 @lru_cache(maxsize=8192)
 def interlacement_graph(c: EulerSystem) -> SimpleGraph:

@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import TooLarge
-from .euler import (
-    EulerSystem,
-    all_euler_systems_bruteforce,
-    hierholzer,
-    kappa_transform,
-    kotzig_orbit,
-)
+from .euler import EulerSystem, hierholzer, kappa_transform, kotzig_orbit
 from .gf2 import GF2Matrix
 from .graph4 import (
     Graph4R,
@@ -48,6 +42,7 @@ from .interlace import (
     modified_interlacement_matrix,
     modified_local_complement,
 )
+from .profile import euler_count
 
 __all__ = [
     "PropertyOutcome",
@@ -62,11 +57,23 @@ __all__ = [
 
 
 def _check_closure(g: Graph4R) -> CheckResult:
-    """The transform orbit of an Euler system is every Euler system."""
-    orbit = kotzig_orbit(g, hierholzer(g))
-    brute = all_euler_systems_bruteforce(g)
-    ok = {e.ts for e in orbit} == {e.ts for e in brute}
-    return CheckResult(ok, None if ok else {"orbit": len(orbit), "total": len(brute)})
+    """The transform orbit of an Euler system is every Euler system.
+
+    Orbit members are distinct Euler systems, so the orbit is all of them
+    exactly when its size is the frontier engine's count.
+
+    Raises:
+        TooLarge: the count exceeds ``_ORBIT_LIMIT`` or the frontier
+            engine refuses the graph; the orbit is never built.
+    """
+    count = euler_count(g)
+    if count > _ORBIT_LIMIT:
+        raise TooLarge(
+            f"orbit of {count} Euler systems exceeds the limit of {_ORBIT_LIMIT}"
+        )
+    size = len(kotzig_orbit(g, hierholzer(g)))
+    ok = size == count
+    return CheckResult(ok, None if ok else {"orbit": size, "euler_count": count})
 
 
 # Each property's checks, each with the axes its arguments after the graph
@@ -95,8 +102,7 @@ PROPERTY_NAMES = tuple(PROPERTIES)
 
 _MAX_WITNESSES = 3
 _DEFAULT_WORK_LIMIT = 5_000_000
-_ORBIT_LIMIT = 20_000
-_KOTZIG_SAMPLES_GUARD = 8
+_ORBIT_LIMIT = 3 ** 8
 
 
 @dataclass
@@ -182,14 +188,8 @@ def _record(outcome: PropertyOutcome, g: Graph4R, result: CheckResult) -> None:
 
 def _sweep(g, c0, name, checks) -> PropertyOutcome:
     """Run ``checks``, the table entry of property ``name``, over their
-    full products; Kotzig closure is skipped above its vertex guard."""
+    full products; a check that raises ``TooLarge`` skips the property."""
     outcome = PropertyOutcome(name)
-    if name == "kotzig closure" and g.n > _KOTZIG_SAMPLES_GUARD:
-        outcome.skipped = (
-            f"needs all 3^{g.n} transition systems; guard at "
-            f"{_KOTZIG_SAMPLES_GUARD} vertices"
-        )
-        return outcome
     orbit = ()
     if any({"c", "c2"} & set(axes) for _, axes in checks):
         orbit = kotzig_orbit(g, c0)
@@ -199,9 +199,12 @@ def _sweep(g, c0, name, checks) -> PropertyOutcome:
         # skip a slower equality test.
         for c in orbit:
             interlacement_graph(c)
-    for check, axes in checks:
-        for args in _points(g, c0, orbit, axes):
-            _record(outcome, g, check(g, *args))
+    try:
+        for check, axes in checks:
+            for args in _points(g, c0, orbit, axes):
+                _record(outcome, g, check(g, *args))
+    except TooLarge as exc:
+        outcome.skipped = str(exc)
     return outcome
 
 
@@ -246,6 +249,15 @@ def _table(corrupt: bool):
     return {**PROPERTIES, name: ((first_corrupted, axes),)}
 
 
+def _work_estimate(g: Graph4R, size: int) -> int:
+    """Upper bound on the checks of an exhaustive sweep of ``g`` whose
+    transform orbit has ``size`` systems, summed over ``PROPERTIES``: a
+    transition system traces at most c + n circuits."""
+    n, total_ts = g.n, 3 ** g.n
+    per_ts = 2 * size * n + size ** 2 + 2 + 2 ** (g.c + n)
+    return total_ts * per_ts + size ** 2 + size * n + 1
+
+
 def run_exhaustive(
     g: Graph4R,
     *,
@@ -256,22 +268,19 @@ def run_exhaustive(
     """Exhaustive sweep: every property over its full product of axes.
 
     Raises:
-        TooLarge: the estimated number of checks exceeds ``work_limit``
-            (pass ``force=True`` to run anyway).
+        TooLarge: the number of checks, estimated from ``euler_count``
+            before any orbit exists, exceeds ``work_limit`` (pass
+            ``force=True`` to run anyway).
     """
-    n = g.n
+    if not force:
+        estimate = _work_estimate(g, euler_count(g))
+        if estimate > work_limit:
+            raise TooLarge(
+                f"exhaustive sweep needs about {estimate} checks "
+                f"(limit {work_limit}); use force to run anyway"
+            )
     c0 = hierholzer(g)
-    orbit = kotzig_orbit(g, c0, limit=None if force else _ORBIT_LIMIT)
-    total_ts = 3 ** n
-    subset_bound = 2 ** (g.c + n)
-    estimate = total_ts * (2 * len(orbit) * n + len(orbit) + subset_bound) + len(
-        orbit
-    ) ** 2
-    if estimate > work_limit and not force:
-        raise TooLarge(
-            f"exhaustive sweep needs about {estimate} checks "
-            f"(limit {work_limit}); use force to run anyway"
-        )
+    orbit = kotzig_orbit(g, c0)
     table = _table(corrupt)
     meta = [
         _graph_line(g),
@@ -363,12 +372,8 @@ def run_random_graphs(
         g = random_matching_graph(size, seed=rng.randrange(2 ** 32))
         c0 = hierholzer(g)
         _check_sample(g, c0, rng, table, outcomes)
-        if i == 0 and size <= 5:
+        if i == 0:
             outcomes[closure] = sweep_property(g, c0, closure)
-    if not outcomes[closure].checks:
-        outcomes[closure].skipped = (
-            f"size {size} above the closure guard (5 vertices)"
-        )
     meta = [
         f"graphs: {samples} generated, {size} vertices each",
         f"mode: samples ({samples})",

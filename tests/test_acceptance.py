@@ -14,6 +14,7 @@ import time
 from interlacement import (
     GF2Vector,
     TransitionSystem,
+    all_euler_systems_bruteforce,
     build_graph,
     check_circuit_nullity,
     check_core_kernel,
@@ -179,9 +180,14 @@ def test_gate_5_complement_and_labels():
 
 
 def test_gate_6_transform_closure():
-    # one orbit-versus-brute-force comparison per graph
+    # the sweep compares the orbit's size with the frontier count; the
+    # brute force over all 3^n transition systems is the oracle for both
     for g in corpus(5):
         assert swept(g, "kotzig closure") == 1
+        brute = all_euler_systems_bruteforce(g)
+        assert {e.ts for e in kotzig_orbit(g, hierholzer(g))} == {
+            e.ts for e in brute
+        }
 
 
 def test_gate_7_partition_to_euler():

@@ -15,5 +15,7 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    if demo.stem == "02_euler_systems_and_orbits":
+        assert "orbit = all euler systems: True" in proc.stdout
     if demo.stem == "05_partition_profiles":
         assert "engines agree: True" in proc.stdout

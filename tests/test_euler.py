@@ -16,6 +16,7 @@ from interlacement import (
     circuit_count,
     core_vector,
     dow,
+    euler_count,
     euler_from_partition,
     hierholzer,
     interlacement_graph,
@@ -171,12 +172,7 @@ def test_kotzig_closure(g):
     orbit = kotzig_orbit(g, hierholzer(g))
     brute = all_euler_systems_bruteforce(g)
     assert {e.ts for e in orbit} == {e.ts for e in brute}
-    assert len(orbit) == len(brute)
-
-
-def test_kotzig_orbit_limit(g_4par):
-    with pytest.raises(TooLarge):
-        kotzig_orbit(g_4par, hierholzer(g_4par), limit=3)
+    assert len(orbit) == len(brute) == euler_count(g)
 
 
 def test_orbit_golden_counts(g_loops, g_4par):

@@ -1,8 +1,10 @@
 import pytest
 
-from interlacement import TooLarge, random_matching_graph
+from interlacement import TooLarge, euler_count, random_matching_graph
+from interlacement import verify
 from interlacement.verify import (
     PROPERTY_NAMES,
+    _work_estimate,
     run_exhaustive,
     run_random_graphs,
     run_samples,
@@ -32,17 +34,34 @@ def passing(*checks):
     return [(name, count, True) for name, count in zip(NAMES, checks)]
 
 
+def closure_of(report):
+    return next(o for o in report.outcomes if o.name == "kotzig closure")
+
+
 def test_exhaustive_passes():
-    report = run_exhaustive(graph_four_parallel())
+    g = graph_four_parallel()
+    report = run_exhaustive(g)
     assert PROPERTY_NAMES == NAMES
     assert summary(report) == passing(108, 324, 36, 9, 9, 24, 1, 120)
     assert all(out.skipped is None for out in report.outcomes)
+    # the guard's estimate (orbit of 6) covers every check of the report
+    assert _work_estimate(g, 6) >= 631
 
 
 def test_exhaustive_work_guard():
     g = random_matching_graph(8, seed=0)
     with pytest.raises(TooLarge):
         run_exhaustive(g)
+
+
+def test_closure_fails_on_wrong_count(monkeypatch):
+    # negative control: the closure check must notice an orbit that falls
+    # one short of the Euler-system count
+    monkeypatch.setattr(verify, "euler_count", lambda g: euler_count(g) + 1)
+    report = run_exhaustive(graph_four_parallel())
+    bad = [o for o in report.outcomes if not o.ok]
+    assert [o.name for o in bad] == ["kotzig closure"]
+    assert bad[0].failures == ["orbit=6 euler_count=7"]
 
 
 def test_exhaustive_corrupt_fails():
@@ -71,20 +90,40 @@ def test_samples_corrupt_fails():
 
 
 def test_samples_skip_closure_on_big_graph():
+    g = random_matching_graph(12, seed=0)
+    report = run_samples(g, 2, seed=0)
+    assert report.passed
+    assert closure_of(report).skipped == (
+        "orbit of 44160 Euler systems exceeds the limit of 6561"
+    )
+
+
+def test_samples_check_closure_by_count():
+    # nine vertices, but only 3,392 Euler systems: under the orbit limit
     g = random_matching_graph(9, seed=0)
     report = run_samples(g, 2, seed=0)
-    closure = next(o for o in report.outcomes if o.name == "kotzig closure")
-    assert closure.skipped is not None
+    closure = closure_of(report)
+    assert closure.skipped is None
+    assert (closure.checks, closure.ok) == (1, True)
+
+
+def test_samples_skip_closure_on_frontier_refusal():
+    g = random_matching_graph(40, seed=2)
+    report = run_samples(g, 2, seed=0)
+    assert report.passed
+    assert closure_of(report).skipped.startswith(
+        "frontier profile of 40 vertices refused"
+    )
 
 
 def test_random_graphs_mode():
     report = run_random_graphs(4, 4, seed=11)
     assert summary(report) == passing(4, 4, 4, 4, 4, 4, 1, 8)
-    closure = next(o for o in report.outcomes if o.name == "kotzig closure")
-    assert closure.skipped is None
+    assert closure_of(report).skipped is None
 
 
 def test_random_graphs_skip_closure_when_large():
-    report = run_random_graphs(7, 2, seed=1)
-    closure = next(o for o in report.outcomes if o.name == "kotzig closure")
-    assert closure.skipped is not None
+    report = run_random_graphs(12, 2, seed=1)
+    assert closure_of(report).skipped == (
+        "orbit of 64896 Euler systems exceeds the limit of 6561"
+    )
