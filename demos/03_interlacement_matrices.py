@@ -37,11 +37,11 @@ show(adjacency_matrix(h), g.vertices, "adjacency of I(C):")
 
 ts = TransitionSystem((1, 0, 2, 1, 0))
 m = modified_interlacement_matrix(c, ts)
-show(m.matrix, g.vertices, f"modified matrix for partition {ts.codes}:")
+show(m, g.vertices, f"modified matrix for partition {ts.codes}:")
 
 v = g.vertices[2]
-left = modified_local_complement(m, v)
+left = modified_local_complement(m, c, v)
 right = modified_interlacement_matrix(kappa_transform(c, v), ts)
-show(left.matrix, g.vertices, f"row operation at {v}:")
-show(right.matrix, g.vertices, f"matrix rebuilt at the transformed system:")
-print("the square commutes:", left.matrix == right.matrix)
+show(left, g.vertices, f"row operation at {v}:")
+show(right, g.vertices, f"matrix rebuilt at the transformed system:")
+print("the square commutes:", left == right)

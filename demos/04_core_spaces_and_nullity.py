@@ -32,7 +32,7 @@ print(f"partition has {p.size} circuits on {g.n} vertices")
 for i, circ in enumerate(p.circuits):
     print(f"  core of circuit {i}: {core_vector(g, circ)}")
 
-m = modified_interlacement_matrix(c, ts).matrix
+m = modified_interlacement_matrix(c, ts)
 kern = kernel_basis(m)
 print("kernel basis:", [str(k) for k in kern])
 print(

@@ -4,8 +4,8 @@ Subcommands: validate, euler, matrix, orbit, profile, verify.
 
 Exit codes: 0 success, 1 bad input (parse errors, bad flags, missing
 files), 2 a verified property failed, engines disagreed or a profile
-broke its invariants, 3 a resource guard tripped (use the relevant
-force/limit flag to override).
+broke its invariants, 3 a resource guard tripped (the message names
+the flag that raises the guard, where one exists).
 """
 
 from __future__ import annotations
@@ -377,7 +377,7 @@ def cmd_matrix(args) -> int:
     if args.relative_to:
         reference = _load_euler(args.relative_to, g)
     ts = parse_transitions(_read(args.partition), g, relative_to=reference)
-    m = modified_interlacement_matrix(c, ts).matrix
+    m = modified_interlacement_matrix(c, ts)
     p = trace_partition(g, ts)
     kern = kernel_basis(m)
     if args.json:
@@ -431,14 +431,19 @@ def cmd_profile(args) -> int:
     g = _load_graph(args.graphfile)
     guard = _FORCED_VERTEX_GUARD if args.force else DEFAULT_ENUMERATION_GUARD
     states = _FORCED_STATE_GUARD if args.force else DEFAULT_STATE_GUARD
-    if args.engine == "trace":
-        profile = profile_by_tracing(g, max_vertices=guard)
-    elif args.engine == "nullity":
-        profile = profile_by_nullity(g, max_vertices=guard)
-    else:
-        profile = profile_by_frontier(g, max_states=states)
-    if args.engine == "both":
-        by_rank = profile_by_nullity(g, max_vertices=guard)
+    try:
+        if args.engine == "trace":
+            profile = profile_by_tracing(g, max_vertices=guard)
+        elif args.engine == "nullity":
+            profile = profile_by_nullity(g, max_vertices=guard)
+        else:
+            profile = profile_by_frontier(g, max_states=states)
+        if args.engine == "both":
+            by_rank = profile_by_nullity(g, max_vertices=guard)
+    except TooLarge as exc:
+        if args.force:
+            raise
+        raise TooLarge(f"{exc}; --force raises it") from None
     print(_profile_line(profile))
     if args.engine == "both":
         if profile.coefficients == by_rank.coefficients:

@@ -133,7 +133,11 @@ class EulerSystem:
 
     @cached_property
     def _in_out_slots(self) -> Tuple[Tuple[Tuple[int, int], Tuple[int, int]], ...]:
-        """Per vertex: the two entering slots and the two exiting slots."""
+        """Per vertex: the two entering slots and the two exiting slots.
+
+        Raises:
+            NotEulerSystem: the circuits do not cross every vertex twice.
+        """
         ins: List[List[int]] = [[] for _ in range(self.graph.n)]
         outs: List[List[int]] = [[] for _ in range(self.graph.n)]
         for circ in self.circuits:
@@ -142,7 +146,12 @@ class EulerSystem:
                 outs[hout >> 2].append(hout & 3)
         result = []
         for vi in range(self.graph.n):
-            assert len(ins[vi]) == 2 and len(outs[vi]) == 2
+            if len(ins[vi]) != 2 or len(outs[vi]) != 2:
+                raise NotEulerSystem(
+                    f"circuits enter vertex {self.graph.vertices[vi]!r} "
+                    f"{len(ins[vi])} times and leave it {len(outs[vi])} "
+                    "times, not twice each"
+                )
             result.append((tuple(ins[vi]), tuple(outs[vi])))
         return tuple(result)
 

@@ -122,10 +122,6 @@ class GF2Matrix:
                 )
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "GF2Matrix":
-        return cls(nrows, ncols, (0,) * nrows)
-
-    @classmethod
     def identity(cls, n: int) -> "GF2Matrix":
         return cls(n, n, tuple(1 << i for i in range(n)))
 
@@ -178,15 +174,6 @@ class GF2Matrix:
         if not 0 <= i < self.nrows:
             raise IndexOutOfRange(f"row {i} outside {self.nrows}x{self.ncols}")
         return GF2Vector(self.ncols, self.rows[i])
-
-    def column(self, j: int) -> GF2Vector:
-        if not 0 <= j < self.ncols:
-            raise IndexOutOfRange(f"column {j} outside {self.nrows}x{self.ncols}")
-        bits = 0
-        for i, r in enumerate(self.rows):
-            if (r >> j) & 1:
-                bits |= 1 << i
-        return GF2Vector(self.nrows, bits)
 
     def transpose(self) -> "GF2Matrix":
         cols = [0] * self.ncols

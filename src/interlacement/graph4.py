@@ -287,10 +287,6 @@ class TransitionSystem:
             raise GraphMismatch(f"no transition for vertex {missing[0]!r}")
         return cls(tuple(mapping[v].code for v in g.vertices))
 
-    @property
-    def transitions(self) -> Tuple[Transition, ...]:
-        return tuple(TRANSITIONS[c] for c in self.codes)
-
     def as_map(self, g: Graph4R) -> Dict:
         if len(self.codes) != g.n:
             raise GraphMismatch(
@@ -438,11 +434,16 @@ def core_vector(g: Graph4R, gamma: Circuit) -> GF2Vector:
     (one crossing, two of the four half-edges) and 0 when it is doubly
     incident or not incident at all.  The vector is zero exactly when
     the circuit is an Euler circuit of its component.
+
+    Raises:
+        GraphMismatch: the circuit crosses some vertex more than twice,
+            so it is not a circuit of a 4-regular graph.
     """
     counts = Counter(h >> 2 for h, _ in gamma.crossings)
     bits = 0
     for vi, cnt in counts.items():
-        assert cnt in (1, 2)
+        if cnt > 2:
+            raise GraphMismatch(f"circuit crosses vertex {vi} {cnt} times")
         if cnt == 1:
             bits |= 1 << vi
     return GF2Vector(g.n, bits)

@@ -8,9 +8,11 @@ per vertex according to the label of P's transition there: a phi vertex
 gets the standard basis column (diagonal 1, zeros elsewhere), a psi
 vertex gets its diagonal entry set to 1, and a chi vertex is left alone.
 
-The modified local complement at v adds row v to every row indexed by an
-interlacement neighbor of v; the checks in this module verify, among
-other things, that this row operation is exactly what the vertex
+The matrix is a plain ``GF2Matrix``; the Euler system it was built from
+is passed explicitly wherever it is needed.  The modified local
+complement at v adds row v of M(C, P) to every row indexed by an
+interlacement neighbor of v in C; the checks in this module verify,
+among other things, that this row operation is exactly what the vertex
 transform at v does to the matrix.
 """
 
@@ -47,7 +49,6 @@ from .graph4 import (
 
 __all__ = [
     "SimpleGraph",
-    "ModifiedInterlacementMatrix",
     "CheckResult",
     "interlacement_graph",
     "adjacency_matrix",
@@ -165,15 +166,6 @@ def simple_local_complement(h: SimpleGraph, v) -> SimpleGraph:
     return SimpleGraph(h.vertices, tuple(rows))
 
 
-@dataclass(frozen=True)
-class ModifiedInterlacementMatrix:
-    """A modified interlacement matrix tagged with its defining systems."""
-
-    matrix: GF2Matrix
-    euler: EulerSystem
-    partition: TransitionSystem
-
-
 def _label_masks(c: EulerSystem, ts: TransitionSystem) -> Tuple[int, int]:
     """Bit masks of the phi- and psi-labeled vertices of ``ts`` wrt ``c``."""
     phi_mask = 0
@@ -188,10 +180,8 @@ def _label_masks(c: EulerSystem, ts: TransitionSystem) -> Tuple[int, int]:
     return phi_mask, psi_mask
 
 
-def modified_interlacement_matrix(
-    c: EulerSystem, ts: TransitionSystem
-) -> ModifiedInterlacementMatrix:
-    """The modified interlacement matrix of (``c``, ``ts``).
+def modified_interlacement_matrix(c: EulerSystem, ts: TransitionSystem) -> GF2Matrix:
+    """The modified interlacement matrix M(``c``, ``ts``).
 
     Starts from the adjacency matrix of the interlacement graph of ``c``
     and edits one column per vertex according to the label of ``ts``
@@ -204,36 +194,29 @@ def modified_interlacement_matrix(
         raise GraphMismatch(
             f"transition system covers {len(ts)} vertices, graph has {g.n}"
         )
-    phi_mask, psi_mask = _label_masks(c, ts)
-    rows = [r & ~phi_mask for r in interlacement_graph(c).rows]
-    for v in iter_bits(phi_mask | psi_mask):
-        rows[v] |= 1 << v
-    return ModifiedInterlacementMatrix(
-        GF2Matrix(g.n, g.n, tuple(rows)), c, ts
+    phi, psi = _label_masks(c, ts)
+    diag = phi | psi
+    rows = interlacement_graph(c).rows
+    return GF2Matrix(
+        g.n, g.n, tuple(r & ~phi | diag & 1 << v for v, r in enumerate(rows))
     )
 
 
-def modified_local_complement(
-    m: ModifiedInterlacementMatrix, v
-) -> ModifiedInterlacementMatrix:
-    """Add row ``v`` to every row of an interlacement neighbor of ``v``.
+def modified_local_complement(m: GF2Matrix, c: EulerSystem, v) -> GF2Matrix:
+    """Add row ``v`` of ``m`` to every row of an interlacement neighbor
+    of ``v`` in ``c``.
 
-    The neighborhood is read from the interlacement graph of the tagged
-    Euler system, and the tag advances to the vertex transform at ``v``;
-    the partition tag is unchanged.
+    Applied to M(c, P) this gives M(kappa(c, v), P); the transform of
+    ``c`` itself is not computed.
     """
-    c = m.euler
+    if m.nrows != c.graph.n:
+        raise GraphMismatch(f"matrix has {m.nrows} rows, graph has {c.graph.n}")
     vi = c.graph.vertex_index(v)
-    nv = interlacement_graph(c).rows[vi]
-    rows = list(m.matrix.rows)
+    rows = list(m.rows)
     rv = rows[vi]
-    for w in iter_bits(nv):
+    for w in iter_bits(interlacement_graph(c).rows[vi]):
         rows[w] ^= rv
-    return ModifiedInterlacementMatrix(
-        GF2Matrix(m.matrix.nrows, m.matrix.ncols, tuple(rows)),
-        kappa_transform(c, v),
-        m.partition,
-    )
+    return GF2Matrix(m.nrows, m.ncols, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -252,9 +235,9 @@ def check_local_complement_transform(
 ) -> CheckResult:
     """Row operations match the rebuild: complementing the matrix of
     (c, ts) at v gives exactly the matrix of (kappa(c, v), ts)."""
-    lhs = modified_local_complement(modified_interlacement_matrix(c, ts), v)
+    lhs = modified_local_complement(modified_interlacement_matrix(c, ts), c, v)
     rhs = modified_interlacement_matrix(kappa_transform(c, v), ts)
-    ok = lhs.matrix == rhs.matrix
+    ok = lhs == rhs
     if ok:
         return CheckResult(True)
     return CheckResult(
@@ -263,8 +246,8 @@ def check_local_complement_transform(
             "vertex": v,
             "euler": c.ts,
             "partition": ts,
-            "row_ops": lhs.matrix,
-            "rebuilt": rhs.matrix,
+            "row_ops": lhs,
+            "rebuilt": rhs,
         },
     )
 
@@ -330,9 +313,9 @@ def check_naturality(
     """Change of Euler system factors through multiplication:
     matrix(c2, ts) = matrix(c2, c.ts) @ matrix(c, ts), with the change
     of basis matrix(c2, c.ts) nonsingular."""
-    m_direct = modified_interlacement_matrix(c2, ts).matrix
-    m_change = modified_interlacement_matrix(c2, c.ts).matrix
-    m_base = modified_interlacement_matrix(c, ts).matrix
+    m_direct = modified_interlacement_matrix(c2, ts)
+    m_change = modified_interlacement_matrix(c2, c.ts)
+    m_base = modified_interlacement_matrix(c, ts)
     product = mat_mul(m_change, m_base)
     nonsingular = rank(m_change) == g.n
     ok = product == m_direct and nonsingular
@@ -353,8 +336,8 @@ def check_naturality(
 
 def check_inverse(g: Graph4R, c: EulerSystem, c2: EulerSystem) -> CheckResult:
     """matrix(c, c2.ts) and matrix(c2, c.ts) are mutually inverse."""
-    a = modified_interlacement_matrix(c, c2.ts).matrix
-    b = modified_interlacement_matrix(c2, c.ts).matrix
+    a = modified_interlacement_matrix(c, c2.ts)
+    b = modified_interlacement_matrix(c2, c.ts)
     ok = mat_mul(a, b) == GF2Matrix.identity(g.n)
     if ok:
         return CheckResult(True)
@@ -370,7 +353,7 @@ def check_core_kernel(
     equals the kernel of the modified interlacement matrix of (c, ts)."""
     p = trace_partition(g, ts)
     cores = core_space(g, p)
-    kb = kernel_basis(modified_interlacement_matrix(c, ts).matrix)
+    kb = kernel_basis(modified_interlacement_matrix(c, ts))
     kernel = GF2Matrix.from_vectors(kb, g.n)
     ok = spans_equal(cores, kernel)
     if ok:
@@ -389,7 +372,7 @@ def circuit_nullity(
     The kernel dimension of the modified interlacement matrix always
     equals circuit count minus component count.
     """
-    m = modified_interlacement_matrix(c, ts).matrix
+    m = modified_interlacement_matrix(c, ts)
     nullity = g.n - rank(m)
     p = trace_partition(g, ts)
     return nullity, p.size, g.c

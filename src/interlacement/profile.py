@@ -92,7 +92,7 @@ def _check_guard(g: Graph4R, max_vertices: int) -> None:
     if g.n > max_vertices:
         raise TooLarge(
             f"profile over 3^{g.n} transition systems refused "
-            f"(guard at {max_vertices} vertices); raise the guard to override"
+            f"(guard at {max_vertices} vertices)"
         )
 
 
@@ -233,7 +233,7 @@ def profile_by_frontier(
     if bound > max_states:
         raise TooLarge(
             f"frontier profile of {g.n} vertices refused: up to {bound} "
-            f"states (guard at {max_states}); raise the guard to override"
+            f"states (guard at {max_states})"
         )
     # a histogram is one int, sum of count << (closed * field): no
     # count exceeds 3^n, so the fields never carry into each other

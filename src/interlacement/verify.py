@@ -221,10 +221,10 @@ def sweep_property(g: Graph4R, c0: EulerSystem, name: str) -> PropertyOutcome:
 def _negative_control(g, c, ts, v) -> CheckResult:
     """The local-complement transform check with one matrix entry
     flipped, so that it must fail."""
-    lhs = modified_local_complement(modified_interlacement_matrix(c, ts), v)
+    lhs = modified_local_complement(modified_interlacement_matrix(c, ts), c, v)
     rhs = modified_interlacement_matrix(kappa_transform(c, v), ts)
     return CheckResult(
-        _corrupted(lhs.matrix) == rhs.matrix,
+        _corrupted(lhs) == rhs,
         {
             "note": "negative control (corrupted entry)",
             "vertex": v,

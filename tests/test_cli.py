@@ -304,6 +304,18 @@ def test_orbit_limit_guard(capsys, monkeypatch, g4_file):
     assert err == "guard: orbit of 6 Euler systems exceeds the limit of 3\n"
 
 
+def test_orbit_frontier_refusal(capsys, tmp_path):
+    # no orbit flag raises the frontier guard, so the message offers none
+    p = tmp_path / "g40.graph"
+    p.write_text(format_graph(random_matching_graph(40, seed=2)))
+    code, out, err = run_cli(capsys, "orbit", str(p), "--limit", "1000000000")
+    assert code == 3 and out == ""
+    assert err == (
+        "guard: frontier profile of 40 vertices refused: up to 34459425 "
+        "states (guard at 135135)\n"
+    )
+
+
 # fragments of both file formats, valid and broken, glued at random
 _TOKENS = st.sampled_from(
     [
@@ -358,7 +370,11 @@ def test_profile_frontier_guard(capsys, g4_file, monkeypatch):
     # the two-vertex graph opens a 4-edge frontier: 3 pairings
     monkeypatch.setattr("interlacement.cli.DEFAULT_STATE_GUARD", 2)
     code, out, err = run_cli(capsys, "profile", g4_file)
-    assert code == 3 and "up to 3 states" in err and out == ""
+    assert code == 3 and out == ""
+    assert err == (
+        "guard: frontier profile of 2 vertices refused: up to 3 states "
+        "(guard at 2); --force raises it\n"
+    )
     code, out, err = run_cli(capsys, "profile", g4_file, "--force")
     assert (code, out) == (0, "1:6 2:3\n")
 
@@ -375,7 +391,7 @@ def test_profile_forced_vertex_guard(capsys, tmp_path):
         assert code == 3 and out == "" and "Traceback" not in err
         assert err == (
             "guard: profile over 3^41 transition systems refused "
-            "(guard at 39 vertices); raise the guard to override\n"
+            "(guard at 39 vertices)\n"
         )
 
 

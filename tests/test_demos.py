@@ -17,5 +17,7 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr
     if demo.stem == "02_euler_systems_and_orbits":
         assert "orbit = all euler systems: True" in proc.stdout
+    if demo.stem == "03_interlacement_matrices":
+        assert "the square commutes: True" in proc.stdout
     if demo.stem == "05_partition_profiles":
         assert "engines agree: True" in proc.stdout

@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import pytest
 
@@ -64,6 +66,30 @@ def test_hierholzer_is_euler(g):
 def test_from_transitions_rejects_non_euler(g_4par):
     with pytest.raises(NotEulerSystem):
         EulerSystem.from_transitions(g_4par, TransitionSystem((0, 0)))
+
+
+def test_malformed_circuits_raise_under_optimize():
+    # python -O strips assert statements; these public inputs must still
+    # raise typed errors instead of returning wrong values
+    code = (
+        "from interlacement import *\n"
+        "g = build_graph(('u', 'v'), [(('u', i), ('v', i)) for i in range(4)])\n"
+        "c = hierholzer(g)\n"
+        "for make in (lambda: core_vector(g, Circuit(((0, 1),) * 3)),\n"
+        "             lambda: EulerSystem(g, c.ts, c.circuits * 2).psi_codes):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except (GraphMismatch, NotEulerSystem) as exc:\n"
+        "        print(type(exc).__name__, exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True
+    )
+    assert proc.stdout.splitlines() == [
+        "GraphMismatch circuit crosses vertex 0 3 times",
+        "NotEulerSystem circuits enter vertex 'u' 4 times and leave it 4 "
+        "times, not twice each",
+    ], proc.stderr
 
 
 def test_dow_properties(g_mixed):

@@ -111,8 +111,9 @@ def test_samples_skip_closure_on_frontier_refusal():
     g = random_matching_graph(40, seed=2)
     report = run_samples(g, 2, seed=0)
     assert report.passed
-    assert closure_of(report).skipped.startswith(
-        "frontier profile of 40 vertices refused"
+    assert closure_of(report).skipped == (
+        "frontier profile of 40 vertices refused: up to 34459425 states "
+        "(guard at 135135)"
     )
 
 
