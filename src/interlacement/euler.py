@@ -30,6 +30,7 @@ from .errors import (
     TooLarge,
 )
 from .graph4 import (
+    CODE_BY_PAIR,
     TRANSITIONS,
     Circuit,
     CircuitPartition,
@@ -136,7 +137,8 @@ class EulerSystem:
         """Per vertex: the two entering slots and the two exiting slots.
 
         Raises:
-            NotEulerSystem: the circuits do not cross every vertex twice.
+            NotEulerSystem: the circuits do not cross every vertex twice,
+                or cross it twice through one slot.
         """
         ins: List[List[int]] = [[] for _ in range(self.graph.n)]
         outs: List[List[int]] = [[] for _ in range(self.graph.n)]
@@ -152,17 +154,18 @@ class EulerSystem:
                     f"{len(ins[vi])} times and leave it {len(outs[vi])} "
                     "times, not twice each"
                 )
+            if len({*ins[vi], *outs[vi]}) != 4:
+                raise NotEulerSystem(
+                    f"circuits use a slot of vertex {self.graph.vertices[vi]!r} "
+                    "twice"
+                )
             result.append((tuple(ins[vi]), tuple(outs[vi])))
         return tuple(result)
 
     @cached_property
     def psi_codes(self) -> Tuple[int, ...]:
         """Transition code of the psi transition at each vertex."""
-        out = []
-        for vi in range(self.graph.n):
-            (i1, i2), _ = self._in_out_slots[vi]
-            out.append(Transition.from_pair(i1, i2).code)
-        return tuple(out)
+        return tuple(CODE_BY_PAIR[i1][i2] for (i1, i2), _ in self._in_out_slots)
 
     @cached_property
     def chi_codes(self) -> Tuple[int, ...]:
@@ -326,23 +329,26 @@ def _kappa_by_walk_reversal(c: EulerSystem, v) -> EulerSystem:
 def kotzig_orbit(g: Graph4R, c: EulerSystem):
     """All Euler systems reachable from ``c`` by vertex transforms.
 
-    Breadth-first closure over single-vertex transforms, deduplicated by
-    transition system.  Returns the systems sorted by transition codes.
-    The orbit has no size guard of its own: compare ``euler_count(g)``
-    with a limit before building it.
+    Breadth-first closure over single-vertex transforms.  The transform
+    at vertex i only swaps code i for the psi code, so each neighbour is
+    looked up by its transition codes first; only a system not seen yet
+    is built (and validated) by :func:`kappa_transform`, once per orbit
+    member.  Returns the systems sorted by transition codes.  The orbit
+    has no size guard of its own: compare ``euler_count(g)`` with a limit
+    before building it.
     """
     if c.graph != g:
         raise GraphMismatch("Euler system belongs to a different graph")
-    seen: Dict[TransitionSystem, EulerSystem] = {c.ts: c}
+    seen: Dict[Tuple[int, ...], EulerSystem] = {c.ts.codes: c}
     queue = [c]
-    while queue:
-        cur = queue.pop(0)
-        for v in g.vertices:
-            nxt = kappa_transform(cur, v)
-            if nxt.ts not in seen:
-                seen[nxt.ts] = nxt
+    for cur in queue:
+        codes = cur.ts.codes
+        for i, psi in enumerate(cur.psi_codes):
+            key = codes[:i] + (psi,) + codes[i + 1 :]
+            if key not in seen:
+                seen[key] = nxt = kappa_transform(cur, g.vertices[i])
                 queue.append(nxt)
-    return tuple(sorted(seen.values(), key=lambda e: e.ts.codes))
+    return tuple(seen[key] for key in sorted(seen))
 
 
 def all_euler_systems_bruteforce(
@@ -389,6 +395,8 @@ def euler_from_partition(g: Graph4R, p: CircuitPartition):
 
     Raises:
         AlreadyEuler: ``p`` already has one circuit per component.
+        GraphMismatch: the circuits of ``p`` cross a uniting vertex other
+            than twice, or no vertex joins two circuits of one component.
     """
     if p.graph != g:
         raise GraphMismatch("partition belongs to a different graph")
@@ -419,7 +427,11 @@ def euler_from_partition(g: Graph4R, p: CircuitPartition):
                 if growing is None or growing in pair:
                     candidate = (vi, pair)
                     break
-            assert candidate is not None, "a connected component always joins up"
+            if candidate is None:
+                raise GraphMismatch(
+                    "no vertex joins two circuits in the component of "
+                    f"{g.vertices[comp[0]]!r}"
+                )
             vi, pair = candidate
             if growing is None:
                 gamma = pair[1]

@@ -85,10 +85,7 @@ class Transition(Enum):
         """The unique transition whose pairing couples slots ``a`` and ``b``."""
         if a == b or a not in SLOTS or b not in SLOTS:
             raise GraphError(f"({a}, {b}) is not a pair of distinct slots")
-        for t in TRANSITIONS:
-            if _PARTNER[t][a] == b:
-                return t
-        raise AssertionError("unreachable")
+        return TRANSITIONS[CODE_BY_PAIR[a][b]]
 
     def __str__(self) -> str:
         return self.value
@@ -110,6 +107,16 @@ _CODE: Dict[Transition, int] = {t: i for i, t in enumerate(TRANSITIONS)}
 
 PARTNER_BY_CODE: Tuple[Tuple[int, int, int, int], ...] = tuple(
     _PARTNER[t] for t in TRANSITIONS
+)
+
+# CODE_BY_PAIR[a][b]: code of the transition coupling slots a and b;
+# None on the diagonal, where a == b couples nothing
+CODE_BY_PAIR: Tuple[Tuple[int | None, ...], ...] = tuple(
+    tuple(
+        next((c for c, p in enumerate(PARTNER_BY_CODE) if p[a] == b), None)
+        for b in SLOTS
+    )
+    for a in SLOTS
 )
 
 
@@ -469,6 +476,7 @@ def unite_circuits(g: Graph4R, p: CircuitPartition, v) -> CircuitPartition:
     circuit fewer.
 
     Raises:
+        GraphMismatch: the circuits of ``p`` cross ``v`` other than twice.
         NotAJunction: the two crossings at ``v`` belong to one circuit.
     """
     if p.graph != g:
@@ -479,7 +487,8 @@ def unite_circuits(g: Graph4R, p: CircuitPartition, v) -> CircuitPartition:
         for k, (hin, _) in enumerate(circ.crossings):
             if hin >> 2 == vi:
                 locs.append((ci, k))
-    assert len(locs) == 2
+    if len(locs) != 2:
+        raise GraphMismatch(f"circuits cross vertex {v!r} {len(locs)} times")
     (ci1, k1), (ci2, k2) = locs
     if ci1 == ci2:
         raise NotAJunction(

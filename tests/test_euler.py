@@ -29,6 +29,7 @@ from interlacement import (
     trace_partition,
     transition_for_label,
 )
+import interlacement.euler
 from interlacement.euler import _kappa_by_walk_reversal
 from conftest import corpus
 
@@ -75,8 +76,16 @@ def test_malformed_circuits_raise_under_optimize():
         "from interlacement import *\n"
         "g = build_graph(('u', 'v'), [(('u', i), ('v', i)) for i in range(4)])\n"
         "c = hierholzer(g)\n"
+        "p = trace_partition(g, TransitionSystem((0, 0)))\n"
+        "bad = CircuitPartition(g, p.source, p.circuits * 2)\n"
+        "twice = Circuit(((0, 1), (4, 5), (0, 1), (4, 5)))\n"
         "for make in (lambda: core_vector(g, Circuit(((0, 1),) * 3)),\n"
-        "             lambda: EulerSystem(g, c.ts, c.circuits * 2).psi_codes):\n"
+        "             lambda: EulerSystem(g, c.ts, c.circuits * 2).psi_codes,\n"
+        "             lambda: EulerSystem(g, c.ts, (twice,)).psi_codes,\n"
+        "             lambda: unite_circuits(g, bad, 'u'),\n"
+        "             lambda: euler_from_partition(g, bad),\n"
+        "             lambda: euler_from_partition(\n"
+        "                 g, CircuitPartition(g, c.ts, c.circuits * 2))):\n"
         "    try:\n"
         "        make()\n"
         "    except (GraphMismatch, NotEulerSystem) as exc:\n"
@@ -89,6 +98,10 @@ def test_malformed_circuits_raise_under_optimize():
         "GraphMismatch circuit crosses vertex 0 3 times",
         "NotEulerSystem circuits enter vertex 'u' 4 times and leave it 4 "
         "times, not twice each",
+        "NotEulerSystem circuits use a slot of vertex 'u' twice",
+        "GraphMismatch circuits cross vertex 'u' 4 times",
+        "GraphMismatch circuits cross vertex 'u' 4 times",
+        "GraphMismatch no vertex joins two circuits in the component of 'u'",
     ], proc.stderr
 
 
@@ -199,6 +212,22 @@ def test_kotzig_closure(g):
     brute = all_euler_systems_bruteforce(g)
     assert {e.ts for e in orbit} == {e.ts for e in brute}
     assert len(orbit) == len(brute) == euler_count(g)
+
+
+@pytest.mark.parametrize("g", corpus(4), ids=lambda g: "-".join(g.vertices))
+def test_kotzig_orbit_transforms_each_new_system_once(g, monkeypatch):
+    # corpus(4) holds the n = 1 and n = 2 fixtures; duplicates are found
+    # by their codes, so only systems not seen yet are transformed
+    calls = []
+    inner = interlacement.euler.kappa_transform
+
+    def counting(c, v):
+        calls.append(v)
+        return inner(c, v)
+
+    monkeypatch.setattr(interlacement.euler, "kappa_transform", counting)
+    orbit = kotzig_orbit(g, hierholzer(g))
+    assert len(calls) == len(orbit) - 1
 
 
 def test_orbit_golden_counts(g_loops, g_4par):

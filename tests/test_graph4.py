@@ -4,6 +4,7 @@ import pytest
 
 from interlacement import (
     GF2Vector,
+    GraphError,
     GraphMismatch,
     HalfEdge,
     NoVertices,
@@ -23,6 +24,7 @@ from interlacement import (
     trace_partition,
     unite_circuits,
 )
+from interlacement.graph4 import SLOTS
 from conftest import corpus
 
 
@@ -43,6 +45,14 @@ def test_transition_tables():
     assert Transition.from_pair(2, 1) is Transition.PAIR_03_12
     for code in range(3):
         assert Transition.from_code(code).code == code
+    for a, b in itertools.permutations(SLOTS, 2):
+        t = Transition.from_pair(a, b)
+        assert t.partner[a] == b
+        assert t is Transition.from_pair(b, a)
+    bad = [(a, a) for a in SLOTS] + [(-1, 0), (0, 4), (4, 5), (3, -1)]
+    for a, b in bad:
+        with pytest.raises(GraphError):
+            Transition.from_pair(a, b)
 
 
 def test_build_rejects_empty():
