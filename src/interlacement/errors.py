@@ -1,5 +1,24 @@
 """Exception hierarchy shared by every module in the package."""
 
+__all__ = [
+    "InterlacementError",
+    "GraphError",
+    "NoVertices",
+    "SlotReused",
+    "SlotMissing",
+    "UnknownVertex",
+    "GraphMismatch",
+    "NotAJunction",
+    "AlreadyEuler",
+    "NotEulerSystem",
+    "TooLarge",
+    "InvalidProfile",
+    "DimensionMismatch",
+    "IndexOutOfRange",
+    "Singular",
+    "ParseError",
+]
+
 
 class InterlacementError(Exception):
     """Base class for every error raised by this package."""

@@ -127,45 +127,37 @@ class EulerSystem:
             raise NotEulerSystem(
                 f"transition system traces {p.size} circuits, graph has {g.c} components"
             )
-        by_comp = sorted(
-            p.circuits, key=lambda circ: g.component_of[circ.crossings[0][0] >> 2]
-        )
-        return cls(g, ts, tuple(by_comp))
+        # circuits come in the order of their smallest half-edge, which for
+        # one circuit per component is component order
+        return cls(g, ts, p.circuits)
 
     @cached_property
-    def _in_out_slots(self) -> Tuple[Tuple[Tuple[int, int], Tuple[int, int]], ...]:
-        """Per vertex: the two entering slots and the two exiting slots.
+    def psi_codes(self) -> Tuple[int, ...]:
+        """Transition code of the psi transition at each vertex: the one
+        coupling the two slots through which the circuits enter it.
 
         Raises:
             NotEulerSystem: the circuits do not cross every vertex twice,
                 or cross it twice through one slot.
         """
-        ins: List[List[int]] = [[] for _ in range(self.graph.n)]
-        outs: List[List[int]] = [[] for _ in range(self.graph.n)]
+        g = self.graph
+        ins: List[List[int]] = [[] for _ in range(g.n)]
+        outs: List[List[int]] = [[] for _ in range(g.n)]
         for circ in self.circuits:
             for hin, hout in circ.crossings:
                 ins[hin >> 2].append(hin & 3)
                 outs[hout >> 2].append(hout & 3)
-        result = []
-        for vi in range(self.graph.n):
-            if len(ins[vi]) != 2 or len(outs[vi]) != 2:
+        codes = []
+        for v, vin, vout in zip(g.vertices, ins, outs):
+            if len(vin) != 2 or len(vout) != 2:
                 raise NotEulerSystem(
-                    f"circuits enter vertex {self.graph.vertices[vi]!r} "
-                    f"{len(ins[vi])} times and leave it {len(outs[vi])} "
-                    "times, not twice each"
+                    f"circuits enter vertex {v!r} {len(vin)} times and leave "
+                    f"it {len(vout)} times, not twice each"
                 )
-            if len({*ins[vi], *outs[vi]}) != 4:
-                raise NotEulerSystem(
-                    f"circuits use a slot of vertex {self.graph.vertices[vi]!r} "
-                    "twice"
-                )
-            result.append((tuple(ins[vi]), tuple(outs[vi])))
-        return tuple(result)
-
-    @cached_property
-    def psi_codes(self) -> Tuple[int, ...]:
-        """Transition code of the psi transition at each vertex."""
-        return tuple(CODE_BY_PAIR[i1][i2] for (i1, i2), _ in self._in_out_slots)
+            if len({*vin, *vout}) != 4:
+                raise NotEulerSystem(f"circuits use a slot of vertex {v!r} twice")
+            codes.append(CODE_BY_PAIR[vin[0]][vin[1]])
+        return tuple(codes)
 
     @cached_property
     def chi_codes(self) -> Tuple[int, ...]:
@@ -206,7 +198,7 @@ def hierholzer(g: Graph4R) -> EulerSystem:
         return seq
 
     circuits = []
-    pair_slots: List[Dict[int, int]] = [{} for _ in range(g.n)]
+    codes = [0] * g.n
     for comp in g.components_index:
         tour = walk(comp[0] << 2)
         while True:
@@ -222,15 +214,7 @@ def hierholzer(g: Graph4R) -> EulerSystem:
         )
         circuits.append(Circuit(crossings))
         for hin, hout in crossings:
-            vi = hin >> 2
-            assert hout >> 2 == vi
-            pair_slots[vi][hin & 3] = hout & 3
-            pair_slots[vi][hout & 3] = hin & 3
-    codes = []
-    for vi in range(g.n):
-        slots = pair_slots[vi]
-        assert len(slots) == 4, "each vertex is crossed exactly twice"
-        codes.append(Transition.from_pair(0, slots[0]).code)
+            codes[hin >> 2] = CODE_BY_PAIR[hin & 3][hout & 3]
     return EulerSystem(g, TransitionSystem(tuple(codes)), tuple(circuits))
 
 
@@ -396,7 +380,9 @@ def euler_from_partition(g: Graph4R, p: CircuitPartition):
     Raises:
         AlreadyEuler: ``p`` already has one circuit per component.
         GraphMismatch: the circuits of ``p`` cross a uniting vertex other
-            than twice, or no vertex joins two circuits of one component.
+            than twice or through one slot twice, one circuit crosses two
+            components or starts at no vertex, or no vertex joins two
+            circuits of one component.
     """
     if p.graph != g:
         raise GraphMismatch("partition belongs to a different graph")
@@ -437,12 +423,17 @@ def euler_from_partition(g: Graph4R, p: CircuitPartition):
                 gamma = pair[1]
             else:
                 gamma = pair[0] if pair[1] is growing else pair[1]
-            assert gamma in originals
+            if gamma not in originals:
+                raise GraphMismatch(
+                    "a circuit of the partition crosses more than one "
+                    f"component, at vertex {g.vertices[vi]!r}"
+                )
             last_vertex = g.vertices[vi]
             last_original = gamma
             before = set(cur.circuits)
             cur = unite_circuits(g, cur, g.vertices[vi])
             (growing,) = set(cur.circuits) - before
-    assert cur.size == g.c
+    if cur.size != g.c:
+        raise GraphMismatch("circuits of the partition start at no vertex of the graph")
     system = EulerSystem.from_transitions(g, cur.source)
     return system, last_vertex, last_original

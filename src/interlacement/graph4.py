@@ -11,7 +11,8 @@ following the successor map
 
 on "entered half-edge" states.  Successor orbits come in mirror pairs
 (one per traversal direction), so the number of circuits is half the
-number of orbits.
+number of orbits; :func:`trace_partition` walks each circuit once and
+only marks its reversed twin.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "CircuitPartition",
     "build_graph",
     "connected_components",
+    "circuit_count",
     "trace_partition",
     "core_vector",
     "core_space",
@@ -393,44 +395,31 @@ def circuit_count(g: Graph4R, codes: Sequence[int]) -> int:
 def trace_partition(g: Graph4R, ts: TransitionSystem) -> CircuitPartition:
     """Split the edge set into circuits according to ``ts``.
 
-    Orbits of the successor map are found in increasing order of their
-    smallest state, each orbit is paired with its reversed twin, and the
-    twin containing the smaller state is kept, started at that state.
-    The circuit list is therefore canonical for (graph, ts).
+    Entered states are scanned upward.  The first unvisited one is the
+    smallest state of a circuit and of its reversed twin; the circuit is
+    walked once from it, marking each exit (where the twin enters), so
+    the twin is never traced.  The circuit list is therefore canonical
+    for (graph, ts): ordered by smallest half-edge, each started there.
     """
     if len(ts) != g.n:
         raise GraphMismatch(
             f"transition system covers {len(ts)} vertices, graph has {g.n}"
         )
-    nhe = g.half_edge_count
     other = g.other_end_table
     partner = [PARTNER_BY_CODE[c] for c in ts.codes]
-    succ = [other[(h & ~3) | partner[h >> 2][h & 3]] for h in range(nhe)]
-    orbit_id = [-1] * nhe
-    orbits: List[List[int]] = []
-    for h in range(nhe):
-        if orbit_id[h] < 0:
-            members = []
-            cur = h
-            while orbit_id[cur] < 0:
-                orbit_id[cur] = len(orbits)
-                members.append(cur)
-                cur = succ[cur]
-            orbits.append(members)
-    # scanning upward makes members[0] the orbit minimum, so the first
-    # orbit of each mirror pair is the canonical one
+    visited = bytearray(g.half_edge_count)
     circuits = []
-    seen = [False] * len(orbits)
-    for oi, members in enumerate(orbits):
-        if seen[oi]:
+    for h in range(g.half_edge_count):
+        if visited[h]:
             continue
-        mirror = orbit_id[other[members[0]]]
-        assert mirror != oi, "an orbit can never be its own reversal"
-        seen[oi] = seen[mirror] = True
-        crossings = tuple(
-            (h, (h & ~3) | partner[h >> 2][h & 3]) for h in members
-        )
-        circuits.append(Circuit(crossings))
+        crossings = []
+        cur = h
+        while not visited[cur]:
+            hout = (cur & ~3) | partner[cur >> 2][cur & 3]
+            visited[cur] = visited[hout] = 1
+            crossings.append((cur, hout))
+            cur = other[hout]
+        circuits.append(Circuit(tuple(crossings)))
     return CircuitPartition(g, ts, tuple(circuits))
 
 
@@ -476,7 +465,8 @@ def unite_circuits(g: Graph4R, p: CircuitPartition, v) -> CircuitPartition:
     circuit fewer.
 
     Raises:
-        GraphMismatch: the circuits of ``p`` cross ``v`` other than twice.
+        GraphMismatch: the circuits of ``p`` cross ``v`` other than twice,
+            or use one of its slots twice.
         NotAJunction: the two crossings at ``v`` belong to one circuit.
     """
     if p.graph != g:
@@ -497,8 +487,9 @@ def unite_circuits(g: Graph4R, p: CircuitPartition, v) -> CircuitPartition:
     first, second = p.circuits[ci1], p.circuits[ci2]
     a_in, a_out = first.crossings[k1]
     b_in, b_out = second.crossings[k2]
+    if len({a_in & 3, a_out & 3, b_in & 3, b_out & 3}) != 4:
+        raise GraphMismatch(f"circuits use a slot of vertex {v!r} twice")
     t_new = Transition.from_pair(a_in & 3, b_out & 3)
-    assert t_new.partner[a_out & 3] == b_in & 3
     new_ts = p.source.replace(vi, t_new.code)
     rot_b = second.crossings[k2 + 1 :] + second.crossings[:k2]
     rot_a = first.crossings[k1 + 1 :] + first.crossings[:k1]
@@ -511,9 +502,7 @@ def unite_circuits(g: Graph4R, p: CircuitPartition, v) -> CircuitPartition:
     return CircuitPartition(g, new_ts, new_circuits)
 
 
-def random_matching_graph(
-    n: int, seed: int = 0, *, connected: bool = False, prefix: str = "v"
-) -> Graph4R:
+def random_matching_graph(n: int, seed: int = 0, *, connected: bool = False) -> Graph4R:
     """Random 4-regular multigraph from a perfect matching on 4n half-edges.
 
     The 4n labeled half-edges are shuffled with ``random.Random(seed)``
@@ -523,7 +512,7 @@ def random_matching_graph(
     """
     if n < 1:
         raise NoVertices("a graph needs at least one vertex")
-    names = tuple(f"{prefix}{i}" for i in range(n))
+    names = tuple(f"v{i}" for i in range(n))
     rng = random.Random(seed)
     while True:
         hes = list(range(4 * n))

@@ -389,7 +389,6 @@ def profile_by_nullity(
     return profile
 
 
-def euler_count(g: Graph4R, *, max_states: int = DEFAULT_STATE_GUARD) -> int:
+def euler_count(g: Graph4R) -> int:
     """Number of Euler systems of ``g`` (the profile coefficient at c)."""
-    profile = profile_by_frontier(g, max_states=max_states)
-    return profile.coefficients[g.c]
+    return profile_by_frontier(g).coefficients[g.c]

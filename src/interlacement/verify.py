@@ -101,7 +101,7 @@ PROPERTIES: Dict[str, Tuple[_CheckOnAxes, ...]] = {
 PROPERTY_NAMES = tuple(PROPERTIES)
 
 _MAX_WITNESSES = 3
-_DEFAULT_WORK_LIMIT = 5_000_000
+_WORK_LIMIT = 5_000_000
 _ORBIT_LIMIT = 3 ** 8
 
 
@@ -263,21 +263,20 @@ def run_exhaustive(
     *,
     force: bool = False,
     corrupt: bool = False,
-    work_limit: int = _DEFAULT_WORK_LIMIT,
 ) -> VerifyReport:
     """Exhaustive sweep: every property over its full product of axes.
 
     Raises:
         TooLarge: the number of checks, estimated from ``euler_count``
-            before any orbit exists, exceeds ``work_limit`` (pass
+            before any orbit exists, exceeds ``_WORK_LIMIT`` (pass
             ``force=True`` to run anyway).
     """
     if not force:
         estimate = _work_estimate(g, euler_count(g))
-        if estimate > work_limit:
+        if estimate > _WORK_LIMIT:
             raise TooLarge(
                 f"exhaustive sweep needs about {estimate} checks "
-                f"(limit {work_limit}); use force to run anyway"
+                f"(limit {_WORK_LIMIT}); use force to run anyway"
             )
     c0 = hierholzer(g)
     orbit = kotzig_orbit(g, c0)

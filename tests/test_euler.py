@@ -59,9 +59,12 @@ def test_hierholzer_is_euler(g):
     c = hierholzer(g)
     assert circuit_count(g, c.ts.codes) == g.c
     assert len(c.circuits) == g.c
-    # one circuit per component, matched in order
-    for circ, comp in zip(c.circuits, g.components_index):
-        assert set(circ.vertex_indices()) == set(comp)
+    # one circuit per component, matched in order; every other orbit
+    # member comes from from_transitions, which keeps trace order
+    for e in kotzig_orbit(g, c):
+        assert len(e.circuits) == g.c
+        for circ, comp in zip(e.circuits, g.components_index):
+            assert set(circ.vertex_indices()) == set(comp)
 
 
 def test_from_transitions_rejects_non_euler(g_4par):
@@ -79,13 +82,29 @@ def test_malformed_circuits_raise_under_optimize():
         "p = trace_partition(g, TransitionSystem((0, 0)))\n"
         "bad = CircuitPartition(g, p.source, p.circuits * 2)\n"
         "twice = Circuit(((0, 1), (4, 5), (0, 1), (4, 5)))\n"
+        "# both circuits enter u through slot 0\n"
+        "slot0 = CircuitPartition(g, p.source, (Circuit(((0, 1), (5, 4))),\n"
+        "                                       Circuit(((0, 2), (6, 7)))))\n"
+        "# half-edges 0-3 are at a and 4-7 at u; the second circuit crosses both\n"
+        "loops = [(('a', 0), ('a', 1)), (('a', 2), ('a', 3))]\n"
+        "g2 = build_graph(('a', 'u', 'v'), loops + list(g.edges))\n"
+        "across = CircuitPartition(g2, TransitionSystem((0, 0, 0)), (\n"
+        "    Circuit(((6, 7),)), Circuit(((0, 1), (4, 5))), Circuit(((2, 3),)),\n"
+        "    Circuit(((8, 9),))))\n"
+        "# an extra circuit starting at half-edge 100, beyond the graph\n"
+        "far = Circuit(((100, 101),))\n"
+        "beyond = CircuitPartition(g, p.source, p.circuits + (far,))\n"
         "for make in (lambda: core_vector(g, Circuit(((0, 1),) * 3)),\n"
         "             lambda: EulerSystem(g, c.ts, c.circuits * 2).psi_codes,\n"
         "             lambda: EulerSystem(g, c.ts, (twice,)).psi_codes,\n"
         "             lambda: unite_circuits(g, bad, 'u'),\n"
         "             lambda: euler_from_partition(g, bad),\n"
         "             lambda: euler_from_partition(\n"
-        "                 g, CircuitPartition(g, c.ts, c.circuits * 2))):\n"
+        "                 g, CircuitPartition(g, c.ts, c.circuits * 2)),\n"
+        "             lambda: unite_circuits(g, slot0, 'u'),\n"
+        "             lambda: euler_from_partition(g, slot0),\n"
+        "             lambda: euler_from_partition(g2, across),\n"
+        "             lambda: euler_from_partition(g, beyond)):\n"
         "    try:\n"
         "        make()\n"
         "    except (GraphMismatch, NotEulerSystem) as exc:\n"
@@ -102,6 +121,11 @@ def test_malformed_circuits_raise_under_optimize():
         "GraphMismatch circuits cross vertex 'u' 4 times",
         "GraphMismatch circuits cross vertex 'u' 4 times",
         "GraphMismatch no vertex joins two circuits in the component of 'u'",
+        "GraphMismatch circuits use a slot of vertex 'u' twice",
+        "GraphMismatch circuits use a slot of vertex 'u' twice",
+        "GraphMismatch a circuit of the partition crosses more than one "
+        "component, at vertex 'u'",
+        "GraphMismatch circuits of the partition start at no vertex of the graph",
     ], proc.stderr
 
 

@@ -150,8 +150,8 @@ def test_circuit_count_against_naive(g):
         assert circuit_count(g, ts.codes) == naive_circuit_count(g, ts)
 
 
-def test_trace_partition_structure(g_mixed):
-    g = g_mixed
+@pytest.mark.parametrize("g", corpus(5), ids=lambda g: "-".join(g.vertices))
+def test_trace_partition_structure(g):
     for ts in all_ts(g):
         p = trace_partition(g, ts)
         assert p.size == circuit_count(g, ts.codes)

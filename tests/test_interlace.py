@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import itertools
 import pkgutil
 import random
@@ -93,6 +95,31 @@ def test_public_names_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_package_names_listed_where_defined():
+    # every name the package exports is in the __all__ of the module
+    # that defines it at top level
+    home = {}
+    for m in pkgutil.iter_modules(interlacement.__path__):
+        if m.name == "__main__":
+            continue
+        mod = importlib.import_module(f"interlacement.{m.name}")
+        for node in ast.parse(inspect.getsource(mod)).body:
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                home[node.name] = mod
+            elif isinstance(node, ast.Assign):
+                for t in node.targets:
+                    if isinstance(t, ast.Name):
+                        home[t.id] = mod
+            elif isinstance(node, ast.AnnAssign):
+                home[node.target.id] = mod
+    unlisted = [
+        name
+        for name in interlacement.__all__
+        if name not in getattr(home[name], "__all__", ())
+    ]
+    assert unlisted == []
 
 
 def test_simple_graph_guards():
