@@ -8,8 +8,9 @@ circuits already closed.  The tracing engine follows every circuit of
 every transition system directly (a depth-first walk over the
 vertices that joins path ends and undoes the joins on the way back).  The
 nullity engine never traces: it reads each circuit count off the GF(2)
-nullity of a principal submatrix of the interlacement adjacency, with
-ones on the diagonal at the psi vertices.  Agreement is a strong end-to-end check of the
+nullity of the modified matrix M(C, P), walking depth first over the
+phi/chi/psi labels and inserting each label's column of M(C, P) into an
+incremental basis.  Agreement is a strong end-to-end check of the
 combinatorics and the linear algebra.
 """
 

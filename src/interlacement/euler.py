@@ -379,10 +379,10 @@ def euler_from_partition(g: Graph4R, p: CircuitPartition):
 
     Raises:
         AlreadyEuler: ``p`` already has one circuit per component.
-        GraphMismatch: the circuits of ``p`` cross a uniting vertex other
-            than twice or through one slot twice, one circuit crosses two
-            components or starts at no vertex, or no vertex joins two
-            circuits of one component.
+        GraphMismatch: the circuits of ``p`` cross a vertex other than
+            twice or a uniting vertex through one slot twice, one circuit
+            crosses two components or starts at no vertex, or no vertex
+            joins two circuits of one component.
     """
     if p.graph != g:
         raise GraphMismatch("partition belongs to a different graph")
@@ -407,6 +407,11 @@ def euler_from_partition(g: Graph4R, p: CircuitPartition):
             candidate = None
             for vi in comp:
                 owners = cur.circuits_at(vi)
+                if len(owners) != 2:
+                    raise GraphMismatch(
+                        f"circuits cross vertex {g.vertices[vi]!r} "
+                        f"{len(owners)} times"
+                    )
                 if owners[0] == owners[1]:
                     continue
                 pair = (cur.circuits[owners[0]], cur.circuits[owners[1]])

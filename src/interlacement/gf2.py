@@ -2,15 +2,16 @@
 
 Matrix rows are Python integers used as bit sets (bit ``j`` of a row is
 the entry in column ``j``), so adding one row to another is a single
-word-parallel XOR regardless of the matrix width.  Pivoting is fully
-deterministic: the pivot is always the first nonzero entry in column
-order.  Every operation here is exact; nothing involves a tolerance.
+word-parallel XOR regardless of the matrix width.  Each row is reduced
+by the rows before it and pivots on its lowest remaining column, which
+gives the canonical reduced form.  Every operation here is exact;
+nothing involves a tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import DimensionMismatch, IndexOutOfRange, Singular
 
@@ -248,35 +249,43 @@ def add_row(m: GF2Matrix, src: int, dst: int) -> GF2Matrix:
     return GF2Matrix(m.nrows, m.ncols, tuple(rows))
 
 
+def _reduce(x: int, lead: Dict[int, int], mask: int = -1) -> int:
+    """Reduce ``x`` by ``lead``, rows keyed by their lowest bit within ``mask``.
+
+    The remainder's lowest masked bit keys no row; it is 0 exactly when
+    ``x`` lies in the rows' span.
+    """
+    m = x & mask
+    while m:
+        row = lead.get(m & -m)
+        if row is None:
+            break
+        x ^= row
+        m = x & mask
+    return x
+
+
 def _echelon_rows(rows: Iterable[int], ncols: int) -> Tuple[List[int], List[int]]:
     """Row echelon form of integer rows by forward elimination.
 
     Returns (rows, pivot column list): row ``k`` has its leading entry in
     column ``pivots[k]``, and the rows after the last pivot row are zero
-    in the first ``ncols`` columns.  The pivot for each step is the first
-    remaining row with a nonzero entry in the first possible column.
+    in the first ``ncols`` columns.  Each row pivots on its lowest column
+    left after reduction by the rows before it, which gives the same
+    pivots and canonical reduced form as pivoting column by column.
     """
-    work = list(rows)
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(work)):
-            if (work[i] >> c) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        prow = work[r]
-        for i in range(r + 1, len(work)):
-            if (work[i] >> c) & 1:
-                work[i] ^= prow
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work, pivots
+    mask = (1 << ncols) - 1
+    lead: Dict[int, int] = {}
+    zero: List[int] = []
+    for r in rows:
+        r = _reduce(r, lead, mask)
+        m = r & mask
+        if m:
+            lead[m & -m] = r
+        else:
+            zero.append(r)
+    order = sorted(lead)
+    return [lead[b] for b in order] + zero, [b.bit_length() - 1 for b in order]
 
 
 def _rref_rows(rows: Sequence[int], ncols: int) -> Tuple[List[int], List[int]]:

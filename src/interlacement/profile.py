@@ -16,10 +16,10 @@ compute it:
   vertices' transitions in index order; each transition joins the
   open paths at its slots and counts the circuits that close, and the
   walk undoes its joins on the way back;
-* the nullity engine reads each circuit count off a kernel dimension:
-  for every pair T <= S <= V it takes the nullity of A[S] + I_T, the
-  principal submatrix on S of the interlacement adjacency A of one
-  Euler system with ones on the diagonal at T.  It is pure Python.
+* the nullity engine reads each circuit count off the kernel dimension
+  of M(c, P) for one Euler system c, walking depth first over the
+  labels and inserting each label's column into an incremental GF(2)
+  basis.  It is pure Python.
 
 The tracing and nullity engines are the oracles the frontier engine is
 checked against.
@@ -33,7 +33,7 @@ from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import GraphMismatch, InvalidProfile, TooLarge
 from .euler import DEFAULT_ENUMERATION_GUARD, EulerSystem, hierholzer
-from .gf2 import iter_bits, rank_rows
+from .gf2 import _reduce
 from .graph4 import PARTNER_BY_CODE, Graph4R
 from .interlace import interlacement_graph
 
@@ -268,6 +268,17 @@ def profile_by_frontier(
     return profile
 
 
+def _log_progress(leaves: int) -> None:
+    """Report progress of a 3^n engine, every ``_PROGRESS_EVERY`` leaves."""
+    # imported here, not at the top: importing logging adds 5-8 ms to
+    # the start of every command, and only runs past 2^20 leaves log
+    import logging
+
+    logging.getLogger(__name__).info(
+        "profile: %d transition systems processed", leaves
+    )
+
+
 def _circuit_histogram(g: Graph4R) -> Dict[int, int]:
     """{circuit count: systems} over all 3^n systems, depth first.
 
@@ -276,11 +287,6 @@ def _circuit_histogram(g: Graph4R) -> Dict[int, int]:
     transition joins its two slot couples; a couple whose slots end
     the same path closes a circuit.  Joins are undone on the way back.
     """
-    # imported here, not at the top: importing logging adds 5-8 ms to
-    # the start of every command, and only this oracle logs
-    import logging
-
-    logger = logging.getLogger(__name__)
     n = g.n
     end = list(g.other_end_table)
     # each transition as its two slot couples (a, b) and (c, d)
@@ -301,7 +307,7 @@ def _circuit_histogram(g: Graph4R) -> Dict[int, int]:
             hist[closed] += 1
             leaves += 1
             if leaves % _PROGRESS_EVERY == 0:
-                logger.info("profile: %d transition systems processed", leaves)
+                _log_progress(leaves)
             return
         for a, b, c, d in quads[v]:
             x, y = end[a], end[b]
@@ -337,26 +343,39 @@ def profile_by_tracing(
 
 
 def _nullity_histogram(g: Graph4R, c: EulerSystem) -> Dict[int, int]:
-    """Histogram of circuit counts via nullities of principal submatrices.
+    """{circuit count: systems} over all 3^n systems, depth first.
 
-    A transition system is a pair T <= S <= V: S holds the vertices not
-    labelled phi and T the psi ones.  Its circuit count is
-    c(g) + |S| - rank(A[S] + I_T), with A the interlacement adjacency.
+    Each level fixes one vertex's label and inserts its column of M(c, P)
+    into the basis ``lead``; a leaf counts c(g) + n - rank circuits.
     """
+    n = g.n
     adj = interlacement_graph(c).rows
-    hist: Dict[int, int] = {}
-    for s in range(1 << g.n):
-        members = list(iter_bits(s))
-        sub = [adj[v] & s for v in members]
-        t = s
-        while True:
-            rows = [r | (t & 1 << v) for v, r in zip(members, sub)]
-            k = g.c + len(members) - rank_rows(rows, g.n)
-            hist[k] = hist.get(k, 0) + 1
-            if not t:
-                break
-            t = (t - 1) & s
-    return hist
+    columns = [(1 << v, adj[v], adj[v] | 1 << v) for v in range(n)]
+    top = g.c + n
+    hist = [0] * (top + 1)
+    lead: Dict[int, int] = {}
+    leaves = 0
+
+    def walk(v: int, rank: int) -> None:
+        nonlocal leaves
+        if v == n:
+            hist[top - rank] += 1
+            leaves += 1
+            if leaves % _PROGRESS_EVERY == 0:
+                _log_progress(leaves)
+            return
+        for col in columns[v]:
+            x = _reduce(col, lead)
+            if x:
+                low = x & -x
+                lead[low] = x
+                walk(v + 1, rank + 1)
+                del lead[low]
+            else:
+                walk(v + 1, rank)
+
+    walk(0, 0)
+    return {k: count for k, count in enumerate(hist) if count}
 
 
 def profile_by_nullity(
@@ -369,12 +388,12 @@ def profile_by_nullity(
 
     For every transition system P, the circuit count is the component
     count plus the kernel dimension of the modified interlacement matrix
-    M(c, P).  A phi column of M(c, P) is a unit column, so that kernel
-    dimension is |S| - rank(A[S] + I_T), where A is the adjacency of the
-    interlacement graph of c, S the non-phi vertices and T the psi
-    vertices of P: the principal-submatrix form of the global interlace
-    polynomial (Aigner and van der Holst; Traldi).  The engine counts
-    these nullities over all 3^n pairs T <= S <= V.
+    M(c, P).  Column v of M(c, P) is e_v, A e_v or A e_v + e_v as P
+    labels v phi, chi or psi, A the interlacement adjacency of c.  A
+    depth-first walk inserts one column per level into an incremental
+    basis and removes it on the way back.  The same nullity is
+    |S| - rank(A[S] + I_T) for the non-phi vertices S and psi vertices
+    T (Aigner and van der Holst; Traldi).
 
     Args:
         c: reference Euler system; defaults to ``hierholzer(g)``.

@@ -94,6 +94,11 @@ def test_malformed_circuits_raise_under_optimize():
         "# an extra circuit starting at half-edge 100, beyond the graph\n"
         "far = Circuit(((100, 101),))\n"
         "beyond = CircuitPartition(g, p.source, p.circuits + (far,))\n"
+        "# no circuit crosses u; then each circuit crosses one vertex only\n"
+        "none_at_u = CircuitPartition(g, p.source, (Circuit(((4, 5),)),\n"
+        "                                          Circuit(((6, 7),))))\n"
+        "apart = CircuitPartition(g, p.source, (Circuit(((0, 1), (2, 3))),\n"
+        "                                      Circuit(((4, 5), (6, 7)))))\n"
         "for make in (lambda: core_vector(g, Circuit(((0, 1),) * 3)),\n"
         "             lambda: EulerSystem(g, c.ts, c.circuits * 2).psi_codes,\n"
         "             lambda: EulerSystem(g, c.ts, (twice,)).psi_codes,\n"
@@ -104,7 +109,9 @@ def test_malformed_circuits_raise_under_optimize():
         "             lambda: unite_circuits(g, slot0, 'u'),\n"
         "             lambda: euler_from_partition(g, slot0),\n"
         "             lambda: euler_from_partition(g2, across),\n"
-        "             lambda: euler_from_partition(g, beyond)):\n"
+        "             lambda: euler_from_partition(g, beyond),\n"
+        "             lambda: euler_from_partition(g, none_at_u),\n"
+        "             lambda: euler_from_partition(g, apart)):\n"
         "    try:\n"
         "        make()\n"
         "    except (GraphMismatch, NotEulerSystem) as exc:\n"
@@ -120,12 +127,14 @@ def test_malformed_circuits_raise_under_optimize():
         "NotEulerSystem circuits use a slot of vertex 'u' twice",
         "GraphMismatch circuits cross vertex 'u' 4 times",
         "GraphMismatch circuits cross vertex 'u' 4 times",
-        "GraphMismatch no vertex joins two circuits in the component of 'u'",
+        "GraphMismatch circuits cross vertex 'u' 4 times",
         "GraphMismatch circuits use a slot of vertex 'u' twice",
         "GraphMismatch circuits use a slot of vertex 'u' twice",
         "GraphMismatch a circuit of the partition crosses more than one "
         "component, at vertex 'u'",
         "GraphMismatch circuits of the partition start at no vertex of the graph",
+        "GraphMismatch circuits cross vertex 'u' 0 times",
+        "GraphMismatch no vertex joins two circuits in the component of 'u'",
     ], proc.stderr
 
 

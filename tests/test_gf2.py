@@ -19,6 +19,7 @@ from interlacement import (
     rref,
     spans_equal,
 )
+from interlacement.gf2 import _echelon_rows, _rref_rows
 
 
 def naive_mat_mul(a, b):
@@ -205,3 +206,135 @@ def test_rank_bounded_and_transpose_invariant(n, rng):
     r = rank(a)
     assert 0 <= r <= min(a.nrows, a.ncols)
     assert rank(a.transpose()) == r
+
+
+# The column-scan elimination that preceded the incremental reduction:
+# for each column in turn, the first remaining row with a 1 there is the
+# pivot, and back substitution then clears the pivot columns above.
+# It is the oracle for the rebuilt elimination.
+def column_scan_echelon(rows, ncols):
+    work = list(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(work)) if work[i] >> c & 1), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        for i in range(r + 1, len(work)):
+            if work[i] >> c & 1:
+                work[i] ^= work[r]
+        pivots.append(c)
+        r += 1
+    return work, pivots
+
+
+def column_scan_rref(rows, ncols):
+    work, pivots = column_scan_echelon(rows, ncols)
+    for k in range(len(pivots) - 1, 0, -1):
+        for i in range(k):
+            if work[i] >> pivots[k] & 1:
+                work[i] ^= work[k]
+    return work, pivots
+
+
+def column_scan_kernel(m):
+    work, pivots = column_scan_rref(m.rows, m.ncols)
+    basis = []
+    for f in range(m.ncols):
+        if f not in pivots:
+            bits = 1 << f
+            for k, p in enumerate(pivots):
+                if work[k] >> f & 1:
+                    bits |= 1 << p
+            basis.append(GF2Vector(m.ncols, bits))
+    return basis
+
+
+def column_scan_inverse(m):
+    n = m.nrows
+    aug = [row | 1 << (n + i) for i, row in enumerate(m.rows)]
+    work, pivots = column_scan_rref(aug, n)
+    if len(pivots) != n:
+        return None
+    return GF2Matrix(n, n, tuple(row >> n for row in work))
+
+
+@st.composite
+def bit_rows(draw, nrows, ncols):
+    """Rows of ``ncols`` bits: dense, sparse, all zero or rank deficient."""
+    kind = draw(st.sampled_from(("dense", "sparse", "zero", "deficient")))
+    full = st.integers(0, (1 << ncols) - 1)
+    if kind == "zero" or ncols == 0:
+        return [0] * nrows
+    if kind == "sparse":
+        bit = st.integers(0, ncols - 1)
+        return [
+            sum({1 << b for b in draw(st.lists(bit, max_size=2))}) for _ in range(nrows)
+        ]
+    if kind == "dense":
+        return [draw(full) for _ in range(nrows)]
+    # every row a sum of a few base rows, so the rank stays small
+    base = draw(st.lists(full, min_size=1, max_size=3))
+    rows = []
+    for _ in range(nrows):
+        picks = draw(st.lists(st.sampled_from(base), max_size=len(base)))
+        acc = 0
+        for b in picks:
+            acc ^= b
+        rows.append(acc)
+    return rows
+
+
+@st.composite
+def matrices(draw, square=False):
+    nrows = draw(st.integers(0, 14))
+    ncols = nrows if square else draw(st.integers(0, 14))
+    return GF2Matrix(nrows, ncols, tuple(draw(bit_rows(nrows, ncols))))
+
+
+@given(matrices(), matrices())
+@settings(max_examples=300, deadline=None)
+def test_elimination_matches_column_scan(a, b):
+    work, pivots = column_scan_rref(a.rows, a.ncols)
+    assert _echelon_rows(a.rows, a.ncols)[1] == pivots
+    assert rank(a) == len(pivots)
+    assert rref(a) == GF2Matrix(a.nrows, a.ncols, tuple(work))
+    assert kernel_basis(a) == column_scan_kernel(a)
+    # b shares a's width, so spans_equal can be asked of the pair
+    b = GF2Matrix(b.nrows, a.ncols, tuple(r & (1 << a.ncols) - 1 for r in b.rows))
+    for x, y in ((a, a), (a, b), (a, GF2Matrix(a.nrows, a.ncols, tuple(work)))):
+        ra = [r for r in column_scan_rref(x.rows, x.ncols)[0] if r]
+        rb = [r for r in column_scan_rref(y.rows, y.ncols)[0] if r]
+        assert spans_equal(x, y) == (ra == rb)
+
+
+@given(matrices(square=True))
+@settings(max_examples=300, deadline=None)
+def test_inverse_matches_column_scan(a):
+    expected = column_scan_inverse(a)
+    if expected is None:
+        with pytest.raises(Singular):
+            inverse(a)
+    else:
+        assert inverse(a) == expected
+
+
+@given(st.integers(0, 14), st.integers(0, 6), st.data())
+@settings(max_examples=300, deadline=None)
+def test_echelon_with_bits_past_ncols(ncols, extra, data):
+    # inverse-style rows carry bits past ncols; pivots, the reduced rows
+    # within ncols and the span of the whole rows must all agree
+    nrows = data.draw(st.integers(0, 14))
+    rows = data.draw(bit_rows(nrows, ncols + extra))
+    mask = (1 << ncols) - 1
+    work, pivots = _echelon_rows(rows, ncols)
+    assert pivots == column_scan_echelon(rows, ncols)[1]
+    assert len(work) == nrows
+    assert all(w & mask == 0 for w in work[len(pivots):])
+    assert all(w & mask & -(w & mask) == 1 << p for w, p in zip(work, pivots))
+    new_rref, _ = _rref_rows(rows, ncols)
+    old_rref, _ = column_scan_rref(rows, ncols)
+    assert [r & mask for r in new_rref] == [r & mask for r in old_rref]
+    width = ncols + extra
+    assert column_scan_rref(work, width)[0] == column_scan_rref(rows, width)[0]

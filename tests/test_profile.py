@@ -12,6 +12,7 @@ from interlacement import (
     GraphMismatch,
     InvalidProfile,
     PartitionProfile,
+    SimpleGraph,
     TooLarge,
     TransitionSystem,
     build_graph,
@@ -139,6 +140,44 @@ def test_disjoint_union_convolution():
     assert dict(profile_by_tracing(split).coefficients) == dict(combined)
 
 
+@given(st.integers(min_value=1, max_value=8), st.integers(0, 10**6), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_nullity_matches_tracing(n, seed, connected):
+    g = random_matching_graph(n, seed=seed, connected=connected)
+    assert profile_by_nullity(g).coefficients == profile_by_tracing(g).coefficients
+
+
+@pytest.mark.parametrize("g", corpus(4), ids=lambda g: "-".join(g.vertices))
+def test_nullity_independent_of_reference(g):
+    # every Euler system of the orbit gives the same profile
+    expected = profile_by_tracing(g).coefficients
+    for c in kotzig_orbit(g, hierholzer(g)):
+        assert profile_by_nullity(g, c).coefficients == expected
+
+
+def test_nullity_agreement_control(monkeypatch):
+    # with one interlacement edge toggled, the nullity engine must
+    # disagree with the tracer somewhere: the agreement tests can fail
+    real = profile_module.interlacement_graph
+
+    def toggled(c):
+        h = real(c)
+        rows = list(h.rows)
+        rows[0] ^= 1 << 1
+        rows[1] ^= 1 << 0
+        return SimpleGraph(h.vertices, tuple(rows))
+
+    def nullity(g):
+        try:
+            return profile_by_nullity(g).coefficients
+        except InvalidProfile:
+            return None
+
+    monkeypatch.setattr(profile_module, "interlacement_graph", toggled)
+    graphs = [g for g in corpus(5) if g.n >= 2]
+    assert any(nullity(g) != profile_by_tracing(g).coefficients for g in graphs)
+
+
 def test_nullity_engine_uses_given_euler(g_4par):
     c = hierholzer(g_4par)
     prof = profile_by_nullity(g_4par, c)
@@ -183,6 +222,16 @@ def test_tracer_logs_progress(monkeypatch, caplog):
     monkeypatch.setattr(profile_module, "_PROGRESS_EVERY", 2187)
     with caplog.at_level(logging.INFO, logger=profile_module.__name__):
         profile_by_tracing(random_matching_graph(8, seed=5))
+    assert caplog.messages == [
+        f"profile: {k} transition systems processed" for k in (2187, 4374, 6561)
+    ]
+
+
+def test_nullity_logs_progress(monkeypatch, caplog):
+    # the same lines as the tracer: 3^8 leaves, one per 3^7
+    monkeypatch.setattr(profile_module, "_PROGRESS_EVERY", 2187)
+    with caplog.at_level(logging.INFO, logger=profile_module.__name__):
+        profile_by_nullity(random_matching_graph(8, seed=5))
     assert caplog.messages == [
         f"profile: {k} transition systems processed" for k in (2187, 4374, 6561)
     ]
