@@ -198,7 +198,8 @@ def mat_mul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
 
     Row ``i`` of the product is the XOR of the rows of ``b`` selected by
     the set bits of row ``i`` of ``a``, so the cost is one word operation
-    per nonzero entry of ``a``.
+    per nonzero entry of ``a``.  The set bits are walked inline, lowest
+    first, since this is the inner loop of the naturality sweep.
 
     Args:
         a: left factor, shape (r, m).
@@ -214,11 +215,14 @@ def mat_mul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
         raise DimensionMismatch(
             f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}"
         )
+    brows = b.rows
     out = []
     for ra in a.rows:
         acc = 0
-        for j in iter_bits(ra):
-            acc ^= b.rows[j]
+        while ra:
+            low = ra & -ra
+            acc ^= brows[low.bit_length() - 1]
+            ra ^= low
         out.append(acc)
     return GF2Matrix(a.nrows, b.ncols, tuple(out))
 

@@ -312,14 +312,38 @@ def check_naturality(
 ) -> CheckResult:
     """Change of Euler system factors through multiplication:
     matrix(c2, ts) = matrix(c2, c.ts) @ matrix(c, ts), with the change
-    of basis matrix(c2, c.ts) nonsingular."""
-    m_direct = modified_interlacement_matrix(c2, ts)
+    of basis matrix(c2, c.ts) nonsingular.
+
+    Builds the three matrices of one point; the exhaustive sweep in
+    ``verify`` builds them once per run instead and shares the comparison
+    through ``_naturality_result``.
+    """
     m_change = modified_interlacement_matrix(c2, c.ts)
-    m_base = modified_interlacement_matrix(c, ts)
+    return _naturality_result(
+        c,
+        c2,
+        ts,
+        m_change,
+        rank(m_change) == g.n,
+        modified_interlacement_matrix(c, ts),
+        modified_interlacement_matrix(c2, ts),
+    )
+
+
+def _naturality_result(
+    c: EulerSystem,
+    c2: EulerSystem,
+    ts: TransitionSystem,
+    m_change: GF2Matrix,
+    nonsingular: bool,
+    m_base: GF2Matrix,
+    m_direct: GF2Matrix,
+) -> CheckResult:
+    """The naturality comparison on built matrices: ``m_direct`` =
+    M(c2, ts) against ``m_change`` @ ``m_base`` = M(c2, c.ts) @ M(c, ts),
+    where ``nonsingular`` tells whether ``m_change`` has full rank."""
     product = mat_mul(m_change, m_base)
-    nonsingular = rank(m_change) == g.n
-    ok = product == m_direct and nonsingular
-    if ok:
+    if nonsingular and product == m_direct:
         return CheckResult(True)
     return CheckResult(
         False,

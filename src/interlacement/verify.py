@@ -9,6 +9,13 @@ graph, and one over freshly generated matching graphs, draw one random
 configuration per sample and pass it to every property.  All randomness
 comes from one ``random.Random(seed)`` stream, so reports are
 reproducible byte for byte.
+
+The exhaustive sweep of naturality, M(c2, ts) = M(c2, c.ts) M(c, ts)
+over every pair (c, c2) of the orbit and every ts, reads its matrices
+from one table of M(c, ts) per run: each matrix is built once, and each
+change of basis M(c2, c.ts) and its rank once per pair, instead of
+three builds and a rank per check.  It makes the same checks in the
+same order and reports the same witnesses as the per-point sweep.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import TooLarge
 from .euler import EulerSystem, hierholzer, kappa_transform, kotzig_orbit
-from .gf2 import GF2Matrix
+from .gf2 import GF2Matrix, rank
 from .graph4 import (
     Graph4R,
     TRANSITIONS,
@@ -41,6 +48,7 @@ from .interlace import (
     interlacement_graph,
     modified_interlacement_matrix,
     modified_local_complement,
+    _naturality_result,
 )
 from .profile import euler_count
 
@@ -151,7 +159,7 @@ def _fmt_witness(g: Graph4R, data: Dict) -> str:
             parts.append(f"{key}={_fmt_matrix(value)}")
         elif isinstance(value, dict):
             parts.append(
-                f"{key}={{" + " ".join(f"{k}:{v}" for k, v in value.items()) + "}}"
+                f"{key}={{" + " ".join(f"{k}:{v}" for k, v in value.items()) + "}"
             )
         else:
             parts.append(f"{key}={value}")
@@ -167,6 +175,15 @@ def _corrupted(m: GF2Matrix) -> GF2Matrix:
 def _subset_iter(size: int):
     for mask in range(1 << size):
         yield tuple(i for i in range(size) if (mask >> i) & 1)
+
+
+def _ts_index(ts: TransitionSystem) -> int:
+    """Position of ``ts`` among all transition systems in
+    ``itertools.product`` order: its codes read in base 3."""
+    k = 0
+    for code in ts.codes:
+        k = 3 * k + code
+    return k
 
 
 def _points(g, c0, orbit, axes):
@@ -186,21 +203,63 @@ def _record(outcome: PropertyOutcome, g: Graph4R, result: CheckResult) -> None:
     outcome.record(result, lambda: _fmt_witness(g, result.witness))
 
 
-def _sweep(g, c0, name, checks) -> PropertyOutcome:
+def _sweep_naturality(outcome: PropertyOutcome, g: Graph4R, orbit) -> None:
+    """Naturality over the axes (c, c2, ts) from a table of M(c, ts).
+
+    ``table[i][k]`` is M(orbit[i], all_ts[k]), so the table holds
+    |orbit| * 3^n matrices while the sweep makes |orbit|^2 * 3^n checks.
+    The change of basis M(c2, c.ts) is the table entry of c2 at c.ts, and
+    its rank is taken once per pair.
+    """
+    all_ts = list(map(TransitionSystem, itertools.product((0, 1, 2), repeat=g.n)))
+    table = [[modified_interlacement_matrix(c, ts) for ts in all_ts] for c in orbit]
+    for c, row in zip(orbit, table):
+        k = _ts_index(c.ts)
+        for c2, row2 in zip(orbit, table):
+            m_change = row2[k]
+            nonsingular = rank(m_change) == g.n
+            for ts, m_base, m_direct in zip(all_ts, row, row2):
+                result = _naturality_result(
+                    c, c2, ts, m_change, nonsingular, m_base, m_direct
+                )
+                _record(outcome, g, result)
+
+
+# Checks whose exhaustive sweep over their axes has a faster route than
+# one call per point; keyed by the function objects in ``PROPERTIES``.
+_TABLE_SWEEPS = {check_naturality: _sweep_naturality}
+
+
+def _orbit(g: Graph4R, c0: EulerSystem):
+    """The transform orbit of ``c0``, with its interlacement graphs cached.
+
+    The checks' own transforms return equal copies of orbit systems.
+    Caching the orbit's interlacement graphs first keys the cache by the
+    objects swept here, so their lookups match by identity and skip a
+    slower equality test.
+    """
+    orbit = kotzig_orbit(g, c0)
+    for c in orbit:
+        interlacement_graph(c)
+    return orbit
+
+
+def _sweep(g, c0, name, checks, orbit=None) -> PropertyOutcome:
     """Run ``checks``, the table entry of property ``name``, over their
-    full products; a check that raises ``TooLarge`` skips the property."""
+    full products; a check that raises ``TooLarge`` skips the property.
+
+    ``orbit`` is ``_orbit(g, c0)`` when the caller has built it; otherwise
+    it is built here if a check ranges over c or c2.
+    """
     outcome = PropertyOutcome(name)
-    orbit = ()
-    if any({"c", "c2"} & set(axes) for _, axes in checks):
-        orbit = kotzig_orbit(g, c0)
-        # The checks' own transforms return equal copies of orbit systems.
-        # Caching the orbit's interlacement graphs first keys the cache by
-        # the objects swept here, so their lookups match by identity and
-        # skip a slower equality test.
-        for c in orbit:
-            interlacement_graph(c)
+    if orbit is None and any({"c", "c2"} & set(axes) for _, axes in checks):
+        orbit = _orbit(g, c0)
     try:
         for check, axes in checks:
+            table_sweep = _TABLE_SWEEPS.get(check)
+            if table_sweep is not None:
+                table_sweep(outcome, g, orbit)
+                continue
             for args in _points(g, c0, orbit, axes):
                 _record(outcome, g, check(g, *args))
     except TooLarge as exc:
@@ -266,6 +325,10 @@ def run_exhaustive(
 ) -> VerifyReport:
     """Exhaustive sweep: every property over its full product of axes.
 
+    The transform orbit of ``hierholzer(g)`` is built once and shared by
+    every property; naturality runs from one matrix table (see the module
+    docstring).
+
     Raises:
         TooLarge: the number of checks, estimated from ``euler_count``
             before any orbit exists, exceeds ``_WORK_LIMIT`` (pass
@@ -279,7 +342,7 @@ def run_exhaustive(
                 f"(limit {_WORK_LIMIT}); use force to run anyway"
             )
     c0 = hierholzer(g)
-    orbit = kotzig_orbit(g, c0)
+    orbit = _orbit(g, c0)
     table = _table(corrupt)
     meta = [
         _graph_line(g),
@@ -287,7 +350,7 @@ def run_exhaustive(
         f"orbit size: {len(orbit)}",
     ]
     return VerifyReport(
-        meta, [_sweep(g, c0, name, table[name]) for name in PROPERTY_NAMES]
+        meta, [_sweep(g, c0, name, table[name], orbit) for name in PROPERTY_NAMES]
     )
 
 

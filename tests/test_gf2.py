@@ -90,6 +90,24 @@ def test_matmul_against_naive():
         assert (a @ b).to_lists() == naive_mat_mul(a, b)
 
 
+def test_matmul_edge_shapes():
+    # non-square shapes including empty dimensions, and all-zero factors
+    rng = random.Random(12)
+    for n in range(4):
+        for k in range(4):
+            for m in range(4):
+                a = GF2Matrix(n, k, tuple(rng.getrandbits(k) for _ in range(n)))
+                b = GF2Matrix(k, m, tuple(rng.getrandbits(m) for _ in range(k)))
+                za = GF2Matrix(n, k, (0,) * n)
+                zb = GF2Matrix(k, m, (0,) * k)
+                zero = GF2Matrix(n, m, (0,) * n)
+                for x, y in ((a, b), (za, b), (a, zb)):
+                    product = x @ y
+                    assert (product.nrows, product.ncols) == (n, m)
+                    assert product.to_lists() == naive_mat_mul(x, y)
+                assert za @ b == a @ zb == zero
+
+
 def test_matmul_dimension_mismatch():
     a = GF2Matrix.identity(2)
     b = GF2Matrix.identity(3)

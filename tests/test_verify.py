@@ -1,15 +1,25 @@
 import pytest
 
-from interlacement import TooLarge, euler_count, random_matching_graph
+from interlacement import (
+    GF2Matrix,
+    TooLarge,
+    euler_count,
+    hierholzer,
+    interlace,
+    kotzig_orbit,
+    random_matching_graph,
+)
 from interlacement import verify
+from interlacement.euler import TransitionLabel
 from interlacement.verify import (
     PROPERTY_NAMES,
     _work_estimate,
     run_exhaustive,
     run_random_graphs,
     run_samples,
+    sweep_property,
 )
-from conftest import graph_four_parallel
+from conftest import corpus, graph_four_parallel
 
 
 # report order; the check counts below are pinned, and any rework of the
@@ -128,3 +138,94 @@ def test_random_graphs_skip_closure_when_large():
     assert closure_of(report).skipped == (
         "orbit of 64896 Euler systems exceeds the limit of 6561"
     )
+
+
+def test_exhaustive_builds_orbit_once(monkeypatch):
+    # one orbit shared by every property, plus the closure check's own
+    calls = []
+    real = verify.kotzig_orbit
+
+    def counted(g, c):
+        calls.append(c)
+        return real(g, c)
+
+    monkeypatch.setattr(verify, "kotzig_orbit", counted)
+    assert run_exhaustive(graph_four_parallel()).passed
+    assert len(calls) == 2
+
+
+def test_label_exchange_witness_line(monkeypatch):
+    # plant a wrong label: v always reads phi, so every transform at v,
+    # which must turn phi into psi there, fails
+    real = interlace.label_transitions
+
+    def planted(c, ts):
+        labels = real(c, ts)
+        labels["v"] = TransitionLabel.PHI
+        return labels
+
+    monkeypatch.setattr(interlace, "label_transitions", planted)
+    g = graph_four_parallel()
+    outcome = sweep_property(g, hierholzer(g), "label exchange")
+    assert (outcome.checks, outcome.ok) == (120, False)
+    assert outcome.failures[0] == (
+        "vertex=v euler=[u:01|23 v:02|13] partition=[u:01|23 v:01|23] "
+        "expected={u:phi v:psi} actual={u:phi v:phi}"
+    )
+
+
+def per_point(g, name):
+    """Property ``name`` swept with one check call per point of its
+    axes, the route the naturality table replaces."""
+    c0 = hierholzer(g)
+    orbit = kotzig_orbit(g, c0)
+    outcome = verify.PropertyOutcome(name)
+    for check, axes in verify.PROPERTIES[name]:
+        for args in verify._points(g, c0, orbit, axes):
+            verify._record(outcome, g, check(g, *args))
+    return outcome
+
+
+def outcome_of(outcome):
+    return outcome.checks, outcome.ok, outcome.failures
+
+
+def test_naturality_table_matches_per_point():
+    for g in corpus(4):
+        table = sweep_property(g, hierholzer(g), "naturality")
+        assert outcome_of(table) == outcome_of(per_point(g, "naturality"))
+        assert table.ok
+
+
+def test_naturality_table_negative_control(monkeypatch):
+    # flip one entry of M(c, ts) for one (c, ts); ts is another orbit
+    # member's system, so the flipped matrix is also a change of basis
+    g = graph_four_parallel()
+    orbit = kotzig_orbit(g, hierholzer(g))
+    target = (orbit[-1].ts, orbit[0].ts)
+    real = interlace.modified_interlacement_matrix
+
+    def flipped(c, ts):
+        m = real(c, ts)
+        return verify._corrupted(m) if (c.ts, ts) == target else m
+
+    monkeypatch.setattr(verify, "modified_interlacement_matrix", flipped)
+    monkeypatch.setattr(interlace, "modified_interlacement_matrix", flipped)
+    table = sweep_property(g, hierholzer(g), "naturality")
+    reference = per_point(g, "naturality")
+    assert not table.ok
+    assert table.checks == reference.checks == 324
+    assert table.failures == reference.failures
+    assert len(table.failures) == 3
+
+
+def test_naturality_needs_nonsingular_change():
+    # the product matches, but a singular change of basis still fails
+    g = graph_four_parallel()
+    c = hierholzer(g)
+    m = interlace.modified_interlacement_matrix(c, c.ts)
+    zero = GF2Matrix(g.n, g.n, (0,) * g.n)
+    result = interlace._naturality_result(c, c, c.ts, zero, False, m, zero)
+    assert not result
+    assert result.witness["nonsingular"] is False
+    assert interlace._naturality_result(c, c, c.ts, zero, True, m, zero)
