@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InterlacementError, InvalidProfile, ParseError, TooLarge
 from .euler import (
-    DEFAULT_ENUMERATION_GUARD,
     EulerSystem,
     TransitionLabel,
     dow,
@@ -33,11 +32,11 @@ from .graph4 import (
     Transition,
     TransitionSystem,
     build_graph,
-    random_matching_graph,
     trace_partition,
 )
 from .interlace import modified_interlacement_matrix
 from .profile import (
+    DEFAULT_ENUMERATION_GUARD,
     DEFAULT_STATE_GUARD,
     euler_count,
     profile_by_frontier,

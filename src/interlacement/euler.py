@@ -17,18 +17,12 @@ every Euler system of the graph.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Dict, List, Tuple
 
-from .errors import (
-    AlreadyEuler,
-    GraphMismatch,
-    NotEulerSystem,
-    TooLarge,
-)
+from .errors import AlreadyEuler, GraphMismatch, NotEulerSystem
 from .graph4 import (
     CODE_BY_PAIR,
     TRANSITIONS,
@@ -37,7 +31,6 @@ from .graph4 import (
     Graph4R,
     Transition,
     TransitionSystem,
-    circuit_count,
     trace_partition,
     unite_circuits,
 )
@@ -52,12 +45,8 @@ __all__ = [
     "transition_for_label",
     "kappa_transform",
     "kotzig_orbit",
-    "all_euler_systems_bruteforce",
     "euler_from_partition",
-    "DEFAULT_ENUMERATION_GUARD",
 ]
-
-DEFAULT_ENUMERATION_GUARD = 20
 
 
 class TransitionLabel(Enum):
@@ -74,19 +63,6 @@ class DoubleOccurrenceWord:
     """Cyclic sequence of vertex ids in which each vertex occurs twice."""
 
     word: Tuple[object, ...]
-
-    def rotations(self):
-        w = self.word
-        for i in range(len(w)):
-            yield w[i:] + w[:i]
-
-    def equivalent(self, other: "DoubleOccurrenceWord") -> bool:
-        """Equality up to rotation and reflection."""
-        if len(self.word) != len(other.word):
-            return False
-        targets = set(self.rotations())
-        rev = DoubleOccurrenceWord(tuple(reversed(other.word)))
-        return other.word in targets or any(r in targets for r in rev.rotations())
 
     def __str__(self) -> str:
         return " ".join(str(v) for v in self.word)
@@ -276,40 +252,6 @@ def kappa_transform(c: EulerSystem, v) -> EulerSystem:
     return EulerSystem.from_transitions(c.graph, new_ts)
 
 
-def _kappa_by_walk_reversal(c: EulerSystem, v) -> EulerSystem:
-    """Debug oracle for :func:`kappa_transform`: reverse one v-to-v walk.
-
-    Splits the component circuit at the two crossings of ``v``, reverses
-    the closed walk between them, and reassembles the crossing sequence
-    directly, deriving the new transition system from the result.
-    """
-    g = c.graph
-    vi = g.vertex_index(v)
-    comp = g.component_of[vi]
-    circ = c.circuits[comp]
-    positions = [k for k, (hin, _) in enumerate(circ.crossings) if hin >> 2 == vi]
-    assert len(positions) == 2
-    p1, p2 = positions
-    in1, out1 = circ.crossings[p1]
-    in2, out2 = circ.crossings[p2]
-    middle = tuple(
-        (hout, hin) for hin, hout in reversed(circ.crossings[p1 + 1 : p2])
-    )
-    new_crossings = (
-        circ.crossings[:p1]
-        + ((in1, in2),)
-        + middle
-        + ((out1, out2),)
-        + circ.crossings[p2 + 1 :]
-    )
-    new_circ = Circuit(new_crossings)
-    new_ts = c.ts.replace(vi, Transition.from_pair(in1 & 3, in2 & 3).code)
-    circuits = tuple(
-        new_circ if k == comp else old for k, old in enumerate(c.circuits)
-    )
-    return EulerSystem(g, new_ts, circuits)
-
-
 def kotzig_orbit(g: Graph4R, c: EulerSystem):
     """All Euler systems reachable from ``c`` by vertex transforms.
 
@@ -333,30 +275,6 @@ def kotzig_orbit(g: Graph4R, c: EulerSystem):
                 seen[key] = nxt = kappa_transform(cur, g.vertices[i])
                 queue.append(nxt)
     return tuple(seen[key] for key in sorted(seen))
-
-
-def all_euler_systems_bruteforce(
-    g: Graph4R, *, max_vertices: int = DEFAULT_ENUMERATION_GUARD
-):
-    """Every Euler system of ``g``, found by trying all 3^n transition systems.
-
-    Enumeration runs the mixed-radix base-3 counter over vertices in
-    index order (first vertex most significant).
-
-    Raises:
-        TooLarge: ``g`` has more than ``max_vertices`` vertices.
-    """
-    if g.n > max_vertices:
-        raise TooLarge(
-            f"brute force over 3^{g.n} transition systems refused "
-            f"(guard at {max_vertices} vertices)"
-        )
-    c = g.c
-    out = []
-    for codes in itertools.product((0, 1, 2), repeat=g.n):
-        if circuit_count(g, codes) == c:
-            out.append(EulerSystem.from_transitions(g, TransitionSystem(codes)))
-    return tuple(out)
 
 
 def euler_from_partition(g: Graph4R, p: CircuitPartition):

@@ -20,8 +20,6 @@ __all__ = [
     "GF2Matrix",
     "iter_bits",
     "mat_mul",
-    "mat_vec",
-    "add_row",
     "rank",
     "rank_rows",
     "rref",
@@ -66,15 +64,6 @@ class GF2Vector:
             raise IndexOutOfRange(f"coordinate {i} out of range for length {n}")
         return cls(n, 1 << i)
 
-    @classmethod
-    def from_coords(cls, coords: Iterable[int]) -> "GF2Vector":
-        cs = list(coords)
-        bits = 0
-        for i, c in enumerate(cs):
-            if c & 1:
-                bits |= 1 << i
-        return cls(len(cs), bits)
-
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self.n:
             raise IndexOutOfRange(f"coordinate {i} out of range for length {self.n}")
@@ -89,12 +78,6 @@ class GF2Vector:
         return GF2Vector(self.n, self.bits ^ other.bits)
 
     __xor__ = __add__
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def support(self) -> Tuple[int, ...]:
-        return tuple(iter_bits(self.bits))
 
     def to_tuple(self) -> Tuple[int, ...]:
         return tuple(self)
@@ -176,13 +159,6 @@ class GF2Matrix:
             raise IndexOutOfRange(f"row {i} outside {self.nrows}x{self.ncols}")
         return GF2Vector(self.ncols, self.rows[i])
 
-    def transpose(self) -> "GF2Matrix":
-        cols = [0] * self.ncols
-        for i, r in enumerate(self.rows):
-            for j in iter_bits(r):
-                cols[j] |= 1 << i
-        return GF2Matrix(self.ncols, self.nrows, tuple(cols))
-
     def to_lists(self) -> List[List[int]]:
         return [[(r >> j) & 1 for j in range(self.ncols)] for r in self.rows]
 
@@ -225,32 +201,6 @@ def mat_mul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
             ra ^= low
         out.append(acc)
     return GF2Matrix(a.nrows, b.ncols, tuple(out))
-
-
-def mat_vec(a: GF2Matrix, v: GF2Vector) -> GF2Vector:
-    """Apply ``a`` to a column vector; entry ``i`` is ``<row_i, v>`` mod 2."""
-    if a.ncols != v.n:
-        raise DimensionMismatch(f"matrix has {a.ncols} columns, vector length {v.n}")
-    bits = 0
-    for i, r in enumerate(a.rows):
-        if (r & v.bits).bit_count() & 1:
-            bits |= 1 << i
-    return GF2Vector(a.nrows, bits)
-
-
-def add_row(m: GF2Matrix, src: int, dst: int) -> GF2Matrix:
-    """Return a copy of ``m`` with row ``src`` XORed into row ``dst``.
-
-    ``src`` and ``dst`` must be distinct valid row indices; the source
-    row itself is left unchanged.
-    """
-    if not (0 <= src < m.nrows and 0 <= dst < m.nrows):
-        raise IndexOutOfRange(f"row indices ({src}, {dst}) outside {m.nrows} rows")
-    if src == dst:
-        raise IndexOutOfRange("source and destination rows must differ")
-    rows = list(m.rows)
-    rows[dst] ^= rows[src]
-    return GF2Matrix(m.nrows, m.ncols, tuple(rows))
 
 
 def _reduce(x: int, lead: Dict[int, int], mask: int = -1) -> int:

@@ -46,7 +46,6 @@ __all__ = [
     "CircuitPartition",
     "build_graph",
     "connected_components",
-    "circuit_count",
     "trace_partition",
     "core_vector",
     "core_space",
@@ -77,10 +76,6 @@ class Transition(Enum):
     def code(self) -> int:
         """Index of this transition in the canonical order (0, 1, 2)."""
         return _CODE[self]
-
-    @classmethod
-    def from_code(cls, code: int) -> "Transition":
-        return TRANSITIONS[code]
 
     @classmethod
     def from_pair(cls, a: int, b: int) -> "Transition":
@@ -281,9 +276,12 @@ class TransitionSystem:
     codes: Tuple[int, ...]
 
     def __post_init__(self):
-        for c in self.codes:
-            if c not in (0, 1, 2):
+        # stored as a tuple, so any sequence of codes hashes like its tuple
+        codes = tuple(self.codes)
+        for c in codes:
+            if not isinstance(c, int) or c not in (0, 1, 2):
                 raise GraphError(f"{c!r} is not a transition code")
+        object.__setattr__(self, "codes", codes)
 
     @classmethod
     def from_map(cls, g: Graph4R, mapping: Dict) -> "TransitionSystem":
@@ -330,13 +328,6 @@ class Circuit:
         """Vertex index under each crossing, in traversal order."""
         return tuple(h >> 2 for h, _ in self.crossings)
 
-    def reversed_circuit(self) -> "Circuit":
-        """The same closed walk traversed backwards."""
-        rev = tuple(
-            (hout, hin) for hin, hout in reversed(self.crossings)
-        )
-        return Circuit(rev)
-
 
 @dataclass(frozen=True, eq=False)
 class CircuitPartition:
@@ -366,30 +357,6 @@ class CircuitPartition:
                 if h >> 2 == vi:
                     out.append(ci)
         return tuple(out)
-
-
-def _succ_table(g: Graph4R, codes: Sequence[int]) -> List[int]:
-    other = g.other_end_table
-    return [
-        other[(h & ~3) | PARTNER_BY_CODE[codes[h >> 2]][h & 3]]
-        for h in range(g.half_edge_count)
-    ]
-
-
-def circuit_count(g: Graph4R, codes: Sequence[int]) -> int:
-    """Number of circuits traced by raw transition codes (no objects built)."""
-    succ = _succ_table(g, codes)
-    visited = bytearray(g.half_edge_count)
-    orbits = 0
-    for h in range(g.half_edge_count):
-        if not visited[h]:
-            orbits += 1
-            cur = h
-            while not visited[cur]:
-                visited[cur] = 1
-                cur = succ[cur]
-    assert orbits % 2 == 0
-    return orbits // 2
 
 
 def trace_partition(g: Graph4R, ts: TransitionSystem) -> CircuitPartition:

@@ -31,7 +31,6 @@ from .euler import (
 )
 from .gf2 import (
     GF2Matrix,
-    GF2Vector,
     iter_bits,
     kernel_basis,
     mat_mul,
@@ -39,7 +38,6 @@ from .gf2 import (
     spans_equal,
 )
 from .graph4 import (
-    CircuitPartition,
     Graph4R,
     TransitionSystem,
     core_space,
@@ -120,9 +118,6 @@ class SimpleGraph:
 
     def neighbors(self, v) -> Tuple[object, ...]:
         return tuple(self.vertices[j] for j in iter_bits(self.rows[self.vertex_index(v)]))
-
-    def has_edge(self, a, b) -> bool:
-        return bool((self.rows[self.vertex_index(a)] >> self.vertex_index(b)) & 1)
 
 
 @lru_cache(maxsize=8192)

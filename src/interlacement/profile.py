@@ -32,12 +32,13 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import GraphMismatch, InvalidProfile, TooLarge
-from .euler import DEFAULT_ENUMERATION_GUARD, EulerSystem, hierholzer
+from .euler import EulerSystem, hierholzer
 from .gf2 import _reduce
 from .graph4 import PARTNER_BY_CODE, Graph4R
 from .interlace import interlacement_graph
 
 __all__ = [
+    "DEFAULT_ENUMERATION_GUARD",
     "DEFAULT_STATE_GUARD",
     "PartitionProfile",
     "profile_by_frontier",
@@ -45,6 +46,9 @@ __all__ = [
     "profile_by_nullity",
     "euler_count",
 ]
+
+# vertex guard of the two 3^n engines; 3^20 is about 3.5e9 systems
+DEFAULT_ENUMERATION_GUARD = 20
 
 # (w - 1)!! pairings of w frontier edges; 13!! admits frontiers of up
 # to 14 edges, which covers random connected graphs up to about n = 28

@@ -14,7 +14,6 @@ import time
 from interlacement import (
     GF2Vector,
     TransitionSystem,
-    all_euler_systems_bruteforce,
     build_graph,
     check_circuit_nullity,
     check_core_kernel,
@@ -37,6 +36,7 @@ from interlacement import (
 from interlacement.cli import format_graph
 from interlacement.euler import TransitionLabel
 from conftest import ACCEPTANCE_GATES, corpus, graph_two_loops
+from oracles import all_euler_systems_bruteforce
 
 ACCEPTANCE_GATES.update(
     {

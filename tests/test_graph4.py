@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from interlacement import (
+    EulerSystem,
     GF2Vector,
     GraphError,
     GraphMismatch,
@@ -16,16 +17,18 @@ from interlacement import (
     TransitionSystem,
     UnknownVertex,
     build_graph,
-    circuit_count,
     connected_components,
     core_space,
     core_vector,
+    hierholzer,
+    kappa_transform,
     random_matching_graph,
     trace_partition,
     unite_circuits,
 )
 from interlacement.graph4 import SLOTS
 from conftest import corpus
+from oracles import circuit_count
 
 
 def all_ts(g):
@@ -44,7 +47,7 @@ def test_transition_tables():
     assert Transition.from_pair(3, 1) is Transition.PAIR_02_13
     assert Transition.from_pair(2, 1) is Transition.PAIR_03_12
     for code in range(3):
-        assert Transition.from_code(code).code == code
+        assert TRANSITIONS[code].code == code
     for a, b in itertools.permutations(SLOTS, 2):
         t = Transition.from_pair(a, b)
         assert t.partner[a] == b
@@ -120,6 +123,20 @@ def test_transition_system_accessors(g_4par):
         )
     with pytest.raises(GraphMismatch):
         TransitionSystem.from_map(g_4par, {"u": Transition("01|23")})
+
+
+def test_transition_system_normalises_codes(g_4par):
+    # a list of codes is stored as a tuple, so the system hashes and the
+    # cached transform accepts an Euler system built from it
+    c = hierholzer(g_4par)
+    ts = TransitionSystem(list(c.ts.codes))
+    assert ts.codes == c.ts.codes and isinstance(ts.codes, tuple)
+    assert ts == c.ts and hash(ts) == hash(c.ts)
+    e = EulerSystem.from_transitions(g_4par, ts)
+    assert kappa_transform(e, "u").ts == kappa_transform(c, "u").ts
+    for bad in ((1.0, 0), (0, "1"), (0, None), (3, 0), (-1, 0)):
+        with pytest.raises(GraphError):
+            TransitionSystem(bad)
 
 
 def naive_circuit_count(g, ts):
