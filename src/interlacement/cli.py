@@ -21,7 +21,7 @@ from .euler import (
     TransitionLabel,
     dow,
     hierholzer,
-    kotzig_orbit,
+    orbit_codes,
     transition_for_label,
 )
 from .gf2 import kernel_basis, rank
@@ -410,14 +410,11 @@ def cmd_orbit(args) -> int:
         raise TooLarge(
             f"orbit of {count} Euler systems exceeds the limit of {args.limit}"
         )
-    orbit = kotzig_orbit(g, hierholzer(g))
-    for e in orbit:
-        print(
-            " ".join(
-                f"{v}:{TRANSITIONS[code].value}"
-                for v, code in zip(g.vertices, e.ts.codes)
-            )
-        )
+    orbit = orbit_codes(g, hierholzer(g))
+    # each vertex's three possible fields, indexed by transition code
+    fields = [[f"{v}:{t.value}" for t in TRANSITIONS] for v in g.vertices]
+    for codes in orbit:
+        print(" ".join(f[code] for f, code in zip(fields, codes)))
     print(f"count: {len(orbit)}")
     return EXIT_OK
 

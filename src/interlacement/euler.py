@@ -12,7 +12,11 @@ two traversal directions is stored.
 The vertex transform kappa replaces the transition at one vertex with
 its psi transition; the result is again an Euler system, the transform
 is an involution, and repeatedly applying it at all vertices reaches
-every Euler system of the graph.
+every Euler system of the graph.  What the transform at v does to the
+labels is known in advance (the label exchange): phi and psi swap at v,
+chi and psi swap at every interlacement neighbour of v, and the
+interlacement graph becomes its local complement at v.  The orbit walk
+follows these rules and traces no circuit.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Dict, List, Tuple
 
-from .errors import AlreadyEuler, GraphMismatch, NotEulerSystem
+from .errors import AlreadyEuler, GraphError, GraphMismatch, NotEulerSystem
+from .gf2 import iter_bits
 from .graph4 import (
     CODE_BY_PAIR,
     TRANSITIONS,
@@ -44,6 +49,7 @@ __all__ = [
     "label_transitions",
     "transition_for_label",
     "kappa_transform",
+    "orbit_codes",
     "kotzig_orbit",
     "euler_from_partition",
 ]
@@ -142,6 +148,30 @@ class EulerSystem:
             3 - p - q for p, q in zip(self.ts.codes, self.psi_codes)
         )
 
+    @cached_property
+    def interlacement_rows(self) -> Tuple[int, ...]:
+        """Adjacency of the interlacement graph, one bit row per vertex.
+
+        Vertices v and w are adjacent when both lie on the same circuit
+        and their occurrences alternate v..w..v..w around it; vertices of
+        different components are never adjacent.
+        """
+        rows = [0] * self.graph.n
+        for circ in self.circuits:
+            seq = [h >> 2 for h, _ in circ.crossings]
+            pos: Dict[int, List[int]] = {}
+            for k, vi in enumerate(seq):
+                pos.setdefault(vi, []).append(k)
+            members = sorted(pos)
+            for a_idx, v in enumerate(members):
+                p1, p2 = pos[v]
+                for w in members[a_idx + 1 :]:
+                    between = sum(1 for q in pos[w] if p1 < q < p2)
+                    if between == 1:
+                        rows[v] |= 1 << w
+                        rows[w] |= 1 << v
+        return tuple(rows)
+
 
 def hierholzer(g: Graph4R) -> EulerSystem:
     """Deterministic Euler system of ``g``, one circuit per component.
@@ -150,6 +180,11 @@ def hierholzer(g: Graph4R) -> EulerSystem:
     exit taken is the lowest-indexed unused half-edge at the current
     vertex, and sub-tours are spliced in at the first vertex of the tour
     (in traversal order) that still has unused half-edges.
+
+    Raises:
+        GraphError: a walk gets stuck away from its start, which only a
+            ``Graph4R`` built without ``build_graph``, on a half-edge
+            table that is not a pairing, can cause.
     """
     nhe = g.half_edge_count
     other = g.other_end_table
@@ -170,7 +205,11 @@ def hierholzer(g: Graph4R) -> EulerSystem:
             used[h] = 1
             used[other[h]] = 1
             h = lowest_unused(other[h] >> 2)
-        assert other[seq[-1]] >> 2 == start >> 2, "walk must close up"
+        if other[seq[-1]] >> 2 != start >> 2:
+            raise GraphError(
+                f"walk from vertex {g.vertices[start >> 2]!r} does not close "
+                "up: the half-edge table is not a 4-regular pairing"
+            )
         return seq
 
     circuits = []
@@ -252,29 +291,82 @@ def kappa_transform(c: EulerSystem, v) -> EulerSystem:
     return EulerSystem.from_transitions(c.graph, new_ts)
 
 
-def kotzig_orbit(g: Graph4R, c: EulerSystem):
-    """All Euler systems reachable from ``c`` by vertex transforms.
+def _label_exchange(codes, psi, rows, i):
+    """Psi codes and interlacement rows after the vertex transform at ``i``.
 
-    Breadth-first closure over single-vertex transforms.  The transform
-    at vertex i only swaps code i for the psi code, so each neighbour is
-    looked up by its transition codes first; only a system not seen yet
-    is built (and validated) by :func:`kappa_transform`, once per orbit
-    member.  Returns the systems sorted by transition codes.  The orbit
-    has no size guard of its own: compare ``euler_count(g)`` with a limit
-    before building it.
+    ``codes``, ``psi`` and ``rows`` describe an Euler system C by its
+    transition codes, psi codes and interlacement rows.  In kappa_i(C),
+    phi and psi swap at i; at each interlacement neighbour w of i, chi
+    and psi swap, so the new psi code is 3 - phi_w - psi_w; and the rows
+    become the local complement at i.
+    """
+    nbrs = rows[i]
+    new_psi = list(psi)
+    new_psi[i] = codes[i]
+    new_rows = list(rows)
+    for w in iter_bits(nbrs):
+        new_psi[w] = 3 - codes[w] - psi[w]
+        new_rows[w] ^= nbrs & ~(1 << w)
+    return tuple(new_psi), tuple(new_rows)
+
+
+def _orbit_walk(c: EulerSystem):
+    """(codes, psi codes, interlacement rows) of each orbit member of ``c``.
+
+    Breadth-first closure over single-vertex transforms by the label
+    exchange (:func:`_label_exchange`); members are deduplicated by their
+    transition codes, and the list starts with ``c``.
+    """
+    start = (c.ts.codes, c.psi_codes, c.interlacement_rows)
+    seen = {start[0]}
+    states = [start]
+    for codes, psi, rows in states:
+        for i, p in enumerate(psi):
+            key = codes[:i] + (p,) + codes[i + 1 :]
+            if key not in seen:
+                seen.add(key)
+                states.append((key, *_label_exchange(codes, psi, rows, i)))
+    return states
+
+
+def orbit_codes(g: Graph4R, c: EulerSystem) -> Tuple[Tuple[int, ...], ...]:
+    """Transition codes of every Euler system reachable from ``c`` by
+    vertex transforms, sorted.
+
+    The walk starts from the codes, psi codes and interlacement rows of
+    ``c`` and applies the label-exchange rules, so it traces no circuit
+    and builds no ``EulerSystem``.  The orbit has no size guard of its
+    own: compare ``euler_count(g)`` with a limit before walking it.
+
+    Raises:
+        GraphMismatch: ``c`` is an Euler system of another graph.
     """
     if c.graph != g:
         raise GraphMismatch("Euler system belongs to a different graph")
-    seen: Dict[Tuple[int, ...], EulerSystem] = {c.ts.codes: c}
-    queue = [c]
-    for cur in queue:
-        codes = cur.ts.codes
-        for i, psi in enumerate(cur.psi_codes):
-            key = codes[:i] + (psi,) + codes[i + 1 :]
-            if key not in seen:
-                seen[key] = nxt = kappa_transform(cur, g.vertices[i])
-                queue.append(nxt)
-    return tuple(seen[key] for key in sorted(seen))
+    return tuple(sorted(codes for codes, _, _ in _orbit_walk(c)))
+
+
+def kotzig_orbit(g: Graph4R, c: EulerSystem):
+    """All Euler systems reachable from ``c`` by vertex transforms.
+
+    The members are those of :func:`orbit_codes`, sorted by transition
+    codes.  Each one other than ``c`` is traced and validated once by
+    ``EulerSystem.from_transitions``, so its psi codes and interlacement
+    rows come from its own circuits, never from the walk: checks that
+    compare the transform with the label-exchange rules (label exchange,
+    interlacement complement) test the walk's rules rather than repeat
+    them.  The orbit has no size guard of its own: compare
+    ``euler_count(g)`` with a limit before building it.
+
+    Raises:
+        GraphMismatch: ``c`` is an Euler system of another graph.
+    """
+    return tuple(
+        c
+        if codes == c.ts.codes
+        else EulerSystem.from_transitions(g, TransitionSystem(codes))
+        for codes in orbit_codes(g, c)
+    )
 
 
 def euler_from_partition(g: Graph4R, p: CircuitPartition):

@@ -95,6 +95,15 @@ class GF2Matrix:
     rows: Tuple[int, ...]
 
     def __post_init__(self):
+        # stored as a tuple, so any sequence of rows hashes like its tuple;
+        # the products of the hot loops already are tuples and skip this
+        if type(self.rows) is not tuple:
+            try:
+                object.__setattr__(self, "rows", tuple(self.rows))
+            except TypeError:
+                raise DimensionMismatch(
+                    f"{self.rows!r} is not a sequence of rows"
+                ) from None
         if self.nrows < 0 or self.ncols < 0 or len(self.rows) != self.nrows:
             raise DimensionMismatch(
                 f"{len(self.rows)} rows supplied for a {self.nrows}x{self.ncols} matrix"

@@ -277,7 +277,12 @@ class TransitionSystem:
 
     def __post_init__(self):
         # stored as a tuple, so any sequence of codes hashes like its tuple
-        codes = tuple(self.codes)
+        try:
+            codes = tuple(self.codes)
+        except TypeError:
+            raise GraphError(
+                f"{self.codes!r} is not a sequence of transition codes"
+            ) from None
         for c in codes:
             if not isinstance(c, int) or c not in (0, 1, 2):
                 raise GraphError(f"{c!r} is not a transition code")

@@ -122,28 +122,10 @@ class SimpleGraph:
 
 @lru_cache(maxsize=8192)
 def interlacement_graph(c: EulerSystem) -> SimpleGraph:
-    """Interlacement graph of an Euler system.
-
-    Vertices v and w are adjacent when both lie on the same circuit and
-    their occurrences alternate around it; vertices of different
-    components are never adjacent.
-    """
-    g = c.graph
-    rows = [0] * g.n
-    for circ in c.circuits:
-        seq = [h >> 2 for h, _ in circ.crossings]
-        pos: Dict[int, List[int]] = {}
-        for k, vi in enumerate(seq):
-            pos.setdefault(vi, []).append(k)
-        members = sorted(pos)
-        for a_idx, v in enumerate(members):
-            p1, p2 = pos[v]
-            for w in members[a_idx + 1 :]:
-                between = sum(1 for q in pos[w] if p1 < q < p2)
-                if between == 1:
-                    rows[v] |= 1 << w
-                    rows[w] |= 1 << v
-    return SimpleGraph(g.vertices, tuple(rows))
+    """Interlacement graph of an Euler system: the graph's vertices with
+    ``c.interlacement_rows`` (occurrences alternate around a circuit) as
+    adjacency."""
+    return SimpleGraph(c.graph.vertices, c.interlacement_rows)
 
 
 def adjacency_matrix(h: SimpleGraph) -> GF2Matrix:

@@ -2,7 +2,8 @@
 
 Each one is the slow, literal form of something the library computes
 faster: the circuit count of raw transition codes, the Euler systems
-among all 3^n transition systems, and the transform as a reversed walk.
+among all 3^n transition systems, the transform as a reversed walk, and
+the transform orbit with every new member built by a traced transform.
 They are test-only; import them as ``from oracles import ...``.
 """
 
@@ -16,6 +17,7 @@ from interlacement import (
     TooLarge,
     Transition,
     TransitionSystem,
+    kappa_transform,
 )
 from interlacement.graph4 import PARTNER_BY_CODE
 from interlacement.profile import DEFAULT_ENUMERATION_GUARD
@@ -97,3 +99,24 @@ def kappa_by_walk_reversal(c: EulerSystem, v) -> EulerSystem:
         new_circ if k == comp else old for k, old in enumerate(c.circuits)
     )
     return EulerSystem(g, new_ts, circuits)
+
+
+def kotzig_orbit_by_tracing(g: Graph4R, c: EulerSystem):
+    """All Euler systems reachable from ``c``, each built by a traced transform.
+
+    Breadth-first closure over single-vertex transforms.  A neighbour is
+    looked up by its transition codes first, and only a system not seen
+    yet is built (traced and validated) by ``kappa_transform``, so every
+    member's psi codes and interlacement rows come from its own circuits.
+    Returns the systems sorted by transition codes.
+    """
+    seen = {c.ts.codes: c}
+    queue = [c]
+    for cur in queue:
+        codes = cur.ts.codes
+        for i, psi in enumerate(cur.psi_codes):
+            key = codes[:i] + (psi,) + codes[i + 1 :]
+            if key not in seen:
+                seen[key] = nxt = kappa_transform(cur, g.vertices[i])
+                queue.append(nxt)
+    return tuple(seen[key] for key in sorted(seen))

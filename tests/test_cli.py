@@ -296,9 +296,9 @@ def test_count_flag_not_an_integer(capsys, g4_file):
 def test_orbit_limit_guard(capsys, monkeypatch, g4_file):
     # the count refuses the graph before any orbit system is built
     def no_orbit(g, c):
-        raise AssertionError("orbit built before the limit check")
+        raise AssertionError("orbit walked before the limit check")
 
-    monkeypatch.setattr("interlacement.cli.kotzig_orbit", no_orbit)
+    monkeypatch.setattr("interlacement.cli.orbit_codes", no_orbit)
     code, out, err = run_cli(capsys, "orbit", g4_file, "--limit", "3")
     assert code == 3 and out == ""
     assert err == "guard: orbit of 6 Euler systems exceeds the limit of 3\n"

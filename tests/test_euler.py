@@ -1,4 +1,6 @@
 import itertools
+import json
+import os
 import subprocess
 import sys
 
@@ -9,6 +11,9 @@ from interlacement import (
     Circuit,
     EulerSystem,
     GF2Vector,
+    Graph4R,
+    GraphError,
+    GraphMismatch,
     NotEulerSystem,
     TRANSITIONS,
     TooLarge,
@@ -23,16 +28,19 @@ from interlacement import (
     kappa_transform,
     kotzig_orbit,
     label_transitions,
+    orbit_codes,
     random_matching_graph,
     trace_partition,
     transition_for_label,
 )
 import interlacement.euler
+from interlacement.cli import parse_graph
 from conftest import corpus
 from oracles import (
     all_euler_systems_bruteforce,
     circuit_count,
     kappa_by_walk_reversal,
+    kotzig_orbit_by_tracing,
 )
 
 
@@ -243,18 +251,101 @@ def test_kotzig_closure(g):
 
 @pytest.mark.parametrize("g", corpus(4), ids=lambda g: "-".join(g.vertices))
 def test_kotzig_orbit_transforms_each_new_system_once(g, monkeypatch):
-    # corpus(4) holds the n = 1 and n = 2 fixtures; duplicates are found
-    # by their codes, so only systems not seen yet are transformed
-    calls = []
-    inner = interlacement.euler.kappa_transform
+    # corpus(4) holds the n = 1 and n = 2 fixtures; the transforms are
+    # applied by the label-exchange walk, so kotzig_orbit calls no
+    # kappa_transform and traces each member at most once
+    kappa_calls, traced = [], []
+    inner_kappa = interlacement.euler.kappa_transform
+    inner_trace = interlacement.euler.trace_partition
 
-    def counting(c, v):
-        calls.append(v)
-        return inner(c, v)
+    def counting_kappa(c, v):
+        kappa_calls.append(v)
+        return inner_kappa(c, v)
 
-    monkeypatch.setattr(interlacement.euler, "kappa_transform", counting)
-    orbit = kotzig_orbit(g, hierholzer(g))
-    assert len(calls) == len(orbit) - 1
+    def counting_trace(g, ts):
+        traced.append(ts)
+        return inner_trace(g, ts)
+
+    monkeypatch.setattr(interlacement.euler, "kappa_transform", counting_kappa)
+    monkeypatch.setattr(interlacement.euler, "trace_partition", counting_trace)
+    c = hierholzer(g)
+    orbit = kotzig_orbit(g, c)
+    assert kappa_calls == []
+    assert len(traced) <= len(orbit) and len(set(traced)) == len(traced)
+    assert set(traced) <= {e.ts for e in orbit}
+
+
+def _walk_mismatch(g):
+    """First orbit member whose walked state differs from the traced one,
+    or None when the walk matches the traced orbit member by member."""
+    c = hierholzer(g)
+    traced = kotzig_orbit_by_tracing(g, c)
+    if orbit_codes(g, c) != tuple(e.ts.codes for e in traced):
+        return "codes"
+    walked = {
+        codes: (psi, rows)
+        for codes, psi, rows in interlacement.euler._orbit_walk(c)
+    }
+    for e in traced:
+        if walked[e.ts.codes] != (e.psi_codes, e.interlacement_rows):
+            return e.ts.codes
+    return None
+
+
+def _two_component_graphs():
+    # the 11 two-component graphs among seeds 0..39 for n = 4..8
+    graphs = [
+        random_matching_graph(n, seed=seed)
+        for n in range(4, 9)
+        for seed in range(40)
+    ]
+    return [g for g in graphs if g.c == 2]
+
+
+def _orbit_pool_graphs():
+    # the four graphs of the benchmark's orbit workload
+    refs = os.path.join(
+        os.path.dirname(os.path.dirname(__file__)), "perfbench", "refs.json"
+    )
+    with open(refs, encoding="utf-8") as fh:
+        pool = json.load(fh)["workloads"]["orbit"]
+    return [parse_graph(entry["graph"]) for entry in pool]
+
+
+_WALK_GRAPHS = corpus(6) + _two_component_graphs() + _orbit_pool_graphs()
+
+
+@pytest.mark.parametrize("g", _WALK_GRAPHS, ids=lambda g: f"n{g.n}-c{g.c}")
+def test_orbit_walk_matches_tracing(g):
+    # codes, psi codes and interlacement rows of every member, walked by
+    # the label exchange, equal those of the member traced on its own
+    assert _walk_mismatch(g) is None
+
+
+def test_orbit_walk_without_chi_psi_swap_fails(monkeypatch):
+    # negative control: leaving psi alone at the neighbours of the
+    # transformed vertex breaks the walk on some graph of the same set
+    exchange = interlacement.euler._label_exchange
+
+    def no_swap(codes, psi, rows, i):
+        _, new_rows = exchange(codes, psi, rows, i)
+        return psi[:i] + (codes[i],) + psi[i + 1 :], new_rows
+
+    monkeypatch.setattr(interlacement.euler, "_label_exchange", no_swap)
+    assert any(_walk_mismatch(g) is not None for g in _WALK_GRAPHS)
+
+
+def test_orbit_codes_graph_mismatch(g_4par, g_loops):
+    with pytest.raises(GraphMismatch):
+        orbit_codes(g_loops, hierholzer(g_4par))
+
+
+def test_hierholzer_rejects_unpaired_half_edge_table():
+    # the table pairs half-edge 0 with 4 and every other half-edge with
+    # itself, so the walk from a gets stuck at b
+    g = Graph4R(("a", "b"), (), (4, 1, 2, 3, 0, 5, 6, 7))
+    with pytest.raises(GraphError, match="does not close up"):
+        hierholzer(g)
 
 
 def test_orbit_golden_counts(g_loops, g_4par):

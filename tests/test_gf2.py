@@ -76,6 +76,17 @@ def test_matrix_identity_and_entry():
     assert m.entry(2, 0) == 0
 
 
+def test_matrix_rows_stored_as_tuple():
+    # a list of rows is stored as a tuple, so the matrix hashes and
+    # equals the one built from the tuple
+    m = GF2Matrix(1, 2, [1])
+    assert m.rows == (1,) and isinstance(m.rows, tuple)
+    assert m == GF2Matrix(1, 2, (1,)) and hash(m) == hash(GF2Matrix(1, 2, (1,)))
+    for bad in (5, None):
+        with pytest.raises(DimensionMismatch, match="not a sequence of rows"):
+            GF2Matrix(1, 2, bad)
+
+
 def test_matmul_against_naive():
     rng = random.Random(11)
     for _ in range(60):

@@ -139,6 +139,12 @@ def test_transition_system_normalises_codes(g_4par):
             TransitionSystem(bad)
 
 
+def test_transition_system_rejects_non_sequence():
+    for bad in (5, None):
+        with pytest.raises(GraphError, match="not a sequence of transition codes"):
+            TransitionSystem(bad)
+
+
 def naive_circuit_count(g, ts):
     # independent oracle: walk the successor permutation with a seen set
     n4 = 4 * g.n
