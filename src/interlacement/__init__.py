@@ -7,174 +7,115 @@ GF(2), and exact rank/kernel data.  Every structural identity the
 matrix construction rests on ships with an executable check.
 """
 
-from .errors import (
-    AlreadyEuler,
-    DimensionMismatch,
-    GraphError,
-    GraphMismatch,
-    IndexOutOfRange,
-    InterlacementError,
-    InvalidProfile,
-    NoVertices,
-    NotAJunction,
-    NotEulerSystem,
-    ParseError,
-    Singular,
-    SlotMissing,
-    SlotReused,
-    TooLarge,
-    UnknownVertex,
-)
-from .gf2 import (
-    GF2Matrix,
-    GF2Vector,
-    inverse,
-    kernel_basis,
-    mat_mul,
-    rank,
-    rref,
-    spans_equal,
-)
-from .graph4 import (
-    Circuit,
-    CircuitPartition,
-    Graph4R,
-    HalfEdge,
-    TRANSITIONS,
-    Transition,
-    TransitionSystem,
-    build_graph,
-    connected_components,
-    core_space,
-    core_vector,
-    random_matching_graph,
-    trace_partition,
-    unite_circuits,
-)
-from .euler import (
-    DoubleOccurrenceWord,
-    EulerSystem,
-    TransitionLabel,
-    dow,
-    euler_from_partition,
-    hierholzer,
-    kappa_transform,
-    kotzig_orbit,
-    label_transitions,
-    orbit_codes,
-    transition_for_label,
-)
-from .interlace import (
-    CheckResult,
-    SimpleGraph,
-    adjacency_matrix,
-    check_circuit_nullity,
-    check_core_independence,
-    check_core_kernel,
-    check_interlacement_complement,
-    check_inverse,
-    check_label_exchange,
-    check_local_complement_transform,
-    check_naturality,
-    circuit_nullity,
-    interlacement_graph,
-    modified_interlacement_matrix,
-    modified_local_complement,
-    simple_local_complement,
-)
-from .profile import (
-    PartitionProfile,
-    euler_count,
-    profile_by_frontier,
-    profile_by_nullity,
-    profile_by_tracing,
-)
-from .verify import (
-    PropertyOutcome,
-    VerifyReport,
-    run_exhaustive,
-    run_random_graphs,
-    run_samples,
-    sweep_property,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlreadyEuler",
-    "Circuit",
-    "CircuitPartition",
-    "CheckResult",
-    "DimensionMismatch",
-    "DoubleOccurrenceWord",
-    "EulerSystem",
-    "GF2Matrix",
-    "GF2Vector",
-    "Graph4R",
-    "GraphError",
-    "GraphMismatch",
-    "HalfEdge",
-    "IndexOutOfRange",
-    "InterlacementError",
-    "InvalidProfile",
-    "NoVertices",
-    "NotAJunction",
-    "NotEulerSystem",
-    "ParseError",
-    "PartitionProfile",
-    "PropertyOutcome",
-    "SimpleGraph",
-    "Singular",
-    "SlotMissing",
-    "SlotReused",
-    "TooLarge",
-    "TRANSITIONS",
-    "Transition",
-    "TransitionLabel",
-    "TransitionSystem",
-    "UnknownVertex",
-    "VerifyReport",
-    "adjacency_matrix",
-    "build_graph",
-    "check_circuit_nullity",
-    "check_core_independence",
-    "check_core_kernel",
-    "check_interlacement_complement",
-    "check_inverse",
-    "check_label_exchange",
-    "check_local_complement_transform",
-    "check_naturality",
-    "circuit_nullity",
-    "connected_components",
-    "core_space",
-    "core_vector",
-    "dow",
-    "euler_count",
-    "euler_from_partition",
-    "hierholzer",
-    "interlacement_graph",
-    "inverse",
-    "kappa_transform",
-    "kernel_basis",
-    "kotzig_orbit",
-    "label_transitions",
-    "mat_mul",
-    "modified_interlacement_matrix",
-    "modified_local_complement",
-    "orbit_codes",
-    "profile_by_frontier",
-    "profile_by_nullity",
-    "profile_by_tracing",
-    "random_matching_graph",
-    "rank",
-    "rref",
-    "run_exhaustive",
-    "run_random_graphs",
-    "run_samples",
-    "simple_local_complement",
-    "spans_equal",
-    "sweep_property",
-    "trace_partition",
-    "transition_for_label",
-    "unite_circuits",
-]
+# module -> the public names it defines.  A name's module is imported on
+# first access (PEP 562), so a command loads only the layers it runs.
+_EXPORTS = {
+    "errors": (
+        "AlreadyEuler",
+        "DimensionMismatch",
+        "GraphError",
+        "GraphMismatch",
+        "IndexOutOfRange",
+        "InterlacementError",
+        "InvalidProfile",
+        "NoVertices",
+        "NotAJunction",
+        "NotEulerSystem",
+        "ParseError",
+        "Singular",
+        "SlotMissing",
+        "SlotReused",
+        "TooLarge",
+        "UnknownVertex",
+    ),
+    "gf2": (
+        "GF2Matrix",
+        "GF2Vector",
+        "inverse",
+        "kernel_basis",
+        "mat_mul",
+        "rank",
+        "rref",
+        "spans_equal",
+    ),
+    "graph4": (
+        "Circuit",
+        "CircuitPartition",
+        "Graph4R",
+        "HalfEdge",
+        "TRANSITIONS",
+        "Transition",
+        "TransitionSystem",
+        "build_graph",
+        "connected_components",
+        "random_matching_graph",
+        "trace_partition",
+        "unite_circuits",
+    ),
+    "euler": (
+        "DoubleOccurrenceWord",
+        "EulerSystem",
+        "TransitionLabel",
+        "dow",
+        "euler_from_partition",
+        "hierholzer",
+        "kappa_transform",
+        "kotzig_orbit",
+        "label_transitions",
+        "orbit_codes",
+        "transition_for_label",
+    ),
+    "interlace": (
+        "CheckResult",
+        "SimpleGraph",
+        "adjacency_matrix",
+        "check_circuit_nullity",
+        "check_core_independence",
+        "check_core_kernel",
+        "check_interlacement_complement",
+        "check_inverse",
+        "check_label_exchange",
+        "check_local_complement_transform",
+        "check_naturality",
+        "circuit_nullity",
+        "core_space",
+        "core_vector",
+        "interlacement_graph",
+        "modified_interlacement_matrix",
+        "modified_local_complement",
+        "simple_local_complement",
+    ),
+    "profile": (
+        "PartitionProfile",
+        "euler_count",
+        "profile_by_frontier",
+        "profile_by_nullity",
+        "profile_by_tracing",
+    ),
+    "verify": (
+        "PropertyOutcome",
+        "VerifyReport",
+        "run_exhaustive",
+        "run_random_graphs",
+        "run_samples",
+        "sweep_property",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

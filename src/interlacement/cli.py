@@ -11,20 +11,13 @@ the flag that raises the guard, where one exists).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+# only parsing is imported here; each command imports the engines it
+# runs, so that `validate` or `profile` does not load the GF(2),
+# interlacement and verification layers
 from .errors import InterlacementError, InvalidProfile, ParseError, TooLarge
-from .euler import (
-    EulerSystem,
-    TransitionLabel,
-    dow,
-    hierholzer,
-    orbit_codes,
-    transition_for_label,
-)
-from .gf2 import kernel_basis, rank
 from .graph4 import (
     Graph4R,
     HalfEdge,
@@ -34,16 +27,10 @@ from .graph4 import (
     build_graph,
     trace_partition,
 )
-from .interlace import modified_interlacement_matrix
-from .profile import (
-    DEFAULT_ENUMERATION_GUARD,
-    DEFAULT_STATE_GUARD,
-    euler_count,
-    profile_by_frontier,
-    profile_by_nullity,
-    profile_by_tracing,
-)
-from .verify import VerifyReport, run_exhaustive, run_random_graphs, run_samples
+
+if TYPE_CHECKING:
+    from .euler import EulerSystem
+    from .verify import VerifyReport
 
 __all__ = [
     "parse_graph",
@@ -66,8 +53,6 @@ EXIT_GUARD = 3
 # about 1 KB per state.
 _FORCED_VERTEX_GUARD = 39
 _FORCED_STATE_GUARD = 2_027_025
-
-_LABELS = {lbl.value: lbl for lbl in TransitionLabel}
 
 
 def parse_graph(text: str) -> Graph4R:
@@ -94,10 +79,10 @@ def parse_graph(text: str) -> Graph4R:
                 raise ParseError("duplicate vertex name", lineno)
             vertices = tuple(names)
             continue
-        if line.startswith("edge "):
+        fields = line.split()
+        if fields[0] == "edge":
             if vertices is None:
                 raise ParseError("edge before vertices line", lineno)
-            fields = line.split()
             if len(fields) != 3:
                 raise ParseError(
                     f"expected 'edge a.i b.j', got {line!r}", lineno
@@ -154,6 +139,9 @@ def parse_transitions(
     """Parse the transition file format: one ``name: value`` line per
     vertex, values either absolute pairings (``01|23``) or labels
     (``phi``/``chi``/``psi``) resolved against ``relative_to``."""
+    from .euler import TransitionLabel, transition_for_label
+
+    labels = {lbl.value: lbl for lbl in TransitionLabel}
     seen: Dict[str, Transition] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -168,14 +156,14 @@ def parse_transitions(
             raise ParseError(f"unknown vertex {name!r}", lineno)
         if name in seen:
             raise ParseError(f"vertex {name!r} assigned twice", lineno)
-        if value in _LABELS:
+        if value in labels:
             if relative_to is None:
                 raise ParseError(
                     f"label {value!r} needs a reference euler system "
                     "(pass --relative-to)",
                     lineno,
                 )
-            seen[name] = transition_for_label(relative_to, name, _LABELS[value])
+            seen[name] = transition_for_label(relative_to, name, labels[value])
             continue
         try:
             seen[name] = Transition(value)
@@ -183,7 +171,7 @@ def parse_transitions(
             raise ParseError(
                 f"transition must be one of "
                 f"{', '.join(t.value for t in TRANSITIONS)} or "
-                f"{', '.join(_LABELS)}, got {value!r}",
+                f"{', '.join(labels)}, got {value!r}",
                 lineno,
             ) from None
     missing = [v for v in g.vertices if v not in seen]
@@ -212,6 +200,8 @@ def _load_graph(path: str) -> Graph4R:
 
 
 def _load_euler(path: str, g: Graph4R) -> EulerSystem:
+    from .euler import EulerSystem
+
     ts = parse_transitions(_read(path), g)
     return EulerSystem.from_transitions(g, ts)
 
@@ -359,6 +349,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_euler(args) -> int:
+    from .euler import dow, hierholzer
+
     g = _load_graph(args.graphfile)
     c = hierholzer(g)
     out = format_transitions(g, c.ts)
@@ -370,6 +362,10 @@ def cmd_euler(args) -> int:
 
 
 def cmd_matrix(args) -> int:
+    from .euler import hierholzer
+    from .gf2 import kernel_basis, rank
+    from .interlace import modified_interlacement_matrix
+
     g = _load_graph(args.graphfile)
     c = _load_euler(args.euler, g) if args.euler else hierholzer(g)
     reference = c
@@ -380,6 +376,8 @@ def cmd_matrix(args) -> int:
     p = trace_partition(g, ts)
     kern = kernel_basis(m)
     if args.json:
+        import json
+
         payload = {
             "vertices": list(g.vertices),
             "matrix": m.to_lists(),
@@ -404,6 +402,9 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    from .euler import hierholzer, orbit_codes
+    from .profile import euler_count
+
     g = _load_graph(args.graphfile)
     count = euler_count(g)
     if count > args.limit:
@@ -424,6 +425,14 @@ def _profile_line(profile) -> str:
 
 
 def cmd_profile(args) -> int:
+    from .profile import (
+        DEFAULT_ENUMERATION_GUARD,
+        DEFAULT_STATE_GUARD,
+        profile_by_frontier,
+        profile_by_nullity,
+        profile_by_tracing,
+    )
+
     g = _load_graph(args.graphfile)
     guard = _FORCED_VERTEX_GUARD if args.force else DEFAULT_ENUMERATION_GUARD
     states = _FORCED_STATE_GUARD if args.force else DEFAULT_STATE_GUARD
@@ -473,6 +482,8 @@ def _print_report(report: VerifyReport) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_exhaustive, run_random_graphs, run_samples
+
     corrupt = args.self_test_corrupt
     if args.graphfile is None:
         if args.exhaustive:

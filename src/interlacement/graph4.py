@@ -13,12 +13,15 @@ on "entered half-edge" states.  Successor orbits come in mirror pairs
 (one per traversal direction), so the number of circuits is half the
 number of orbits; :func:`trace_partition` walks each circuit once and
 only marks its reversed twin.
+
+The model does not depend on the GF(2) layer: the core vectors of
+circuits, which are GF(2) vectors, live in :mod:`interlacement.interlace`
+next to the core checks that use them.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -33,7 +36,6 @@ from .errors import (
     SlotReused,
     UnknownVertex,
 )
-from .gf2 import GF2Matrix, GF2Vector
 
 __all__ = [
     "SLOTS",
@@ -47,8 +49,6 @@ __all__ = [
     "build_graph",
     "connected_components",
     "trace_partition",
-    "core_vector",
-    "core_space",
     "unite_circuits",
     "random_matching_graph",
 ]
@@ -142,6 +142,8 @@ class Graph4R:
     other_end_table: Tuple[int, ...] = field(repr=False)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Graph4R):
             return NotImplemented
         return self.vertices == other.vertices and self.edges == other.edges
@@ -393,37 +395,6 @@ def trace_partition(g: Graph4R, ts: TransitionSystem) -> CircuitPartition:
             cur = other[hout]
         circuits.append(Circuit(tuple(crossings)))
     return CircuitPartition(g, ts, tuple(circuits))
-
-
-def core_vector(g: Graph4R, gamma: Circuit) -> GF2Vector:
-    """Indicator of the vertices where ``gamma`` uses exactly two half-edges.
-
-    Coordinate ``v`` is 1 when the circuit is singly incident at ``v``
-    (one crossing, two of the four half-edges) and 0 when it is doubly
-    incident or not incident at all.  The vector is zero exactly when
-    the circuit is an Euler circuit of its component.
-
-    Raises:
-        GraphMismatch: the circuit crosses some vertex more than twice,
-            so it is not a circuit of a 4-regular graph.
-    """
-    counts = Counter(h >> 2 for h, _ in gamma.crossings)
-    bits = 0
-    for vi, cnt in counts.items():
-        if cnt > 2:
-            raise GraphMismatch(f"circuit crosses vertex {vi} {cnt} times")
-        if cnt == 1:
-            bits |= 1 << vi
-    return GF2Vector(g.n, bits)
-
-
-def core_space(g: Graph4R, p: CircuitPartition) -> GF2Matrix:
-    """Matrix whose rows are the core vectors of the circuits of ``p``."""
-    if p.graph != g:
-        raise GraphMismatch("partition belongs to a different graph")
-    return GF2Matrix.from_vectors(
-        [core_vector(g, circ) for circ in p.circuits], g.n
-    )
 
 
 def unite_circuits(g: Graph4R, p: CircuitPartition, v) -> CircuitPartition:

@@ -14,10 +14,16 @@ complement at v adds row v of M(C, P) to every row indexed by an
 interlacement neighbor of v in C; the checks in this module verify,
 among other things, that this row operation is exactly what the vertex
 transform at v does to the matrix.
+
+The core vector of a circuit (its singly incident vertices) and the
+core space of a partition are defined here too, beside the core-kernel
+and core-independence checks, so that the graph model in
+:mod:`interlacement.graph4` needs no GF(2) types.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -31,6 +37,7 @@ from .euler import (
 )
 from .gf2 import (
     GF2Matrix,
+    GF2Vector,
     iter_bits,
     kernel_basis,
     mat_mul,
@@ -38,10 +45,10 @@ from .gf2 import (
     spans_equal,
 )
 from .graph4 import (
+    Circuit,
+    CircuitPartition,
     Graph4R,
     TransitionSystem,
-    core_space,
-    core_vector,
     trace_partition,
 )
 
@@ -53,6 +60,8 @@ __all__ = [
     "simple_local_complement",
     "modified_interlacement_matrix",
     "modified_local_complement",
+    "core_vector",
+    "core_space",
     "check_local_complement_transform",
     "check_interlacement_complement",
     "check_label_exchange",
@@ -344,6 +353,37 @@ def check_inverse(g: Graph4R, c: EulerSystem, c2: EulerSystem) -> CheckResult:
         return CheckResult(True)
     return CheckResult(
         False, {"euler": c.ts, "euler2": c2.ts, "product": mat_mul(a, b)}
+    )
+
+
+def core_vector(g: Graph4R, gamma: Circuit) -> GF2Vector:
+    """Indicator of the vertices where ``gamma`` uses exactly two half-edges.
+
+    Coordinate ``v`` is 1 when the circuit is singly incident at ``v``
+    (one crossing, two of the four half-edges) and 0 when it is doubly
+    incident or not incident at all.  The vector is zero exactly when
+    the circuit is an Euler circuit of its component.
+
+    Raises:
+        GraphMismatch: the circuit crosses some vertex more than twice,
+            so it is not a circuit of a 4-regular graph.
+    """
+    counts = Counter(h >> 2 for h, _ in gamma.crossings)
+    bits = 0
+    for vi, cnt in counts.items():
+        if cnt > 2:
+            raise GraphMismatch(f"circuit crosses vertex {vi} {cnt} times")
+        if cnt == 1:
+            bits |= 1 << vi
+    return GF2Vector(g.n, bits)
+
+
+def core_space(g: Graph4R, p: CircuitPartition) -> GF2Matrix:
+    """Matrix whose rows are the core vectors of the circuits of ``p``."""
+    if p.graph != g:
+        raise GraphMismatch("partition belongs to a different graph")
+    return GF2Matrix.from_vectors(
+        [core_vector(g, circ) for circ in p.circuits], g.n
     )
 
 

@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Tuple
 
 from .errors import GraphMismatch, InvalidProfile, TooLarge
-from .euler import EulerSystem, hierholzer
-from .gf2 import _reduce
 from .graph4 import PARTNER_BY_CODE, Graph4R
-from .interlace import interlacement_graph
+
+if TYPE_CHECKING:
+    from .euler import EulerSystem
 
 __all__ = [
     "DEFAULT_ENUMERATION_GUARD",
@@ -352,6 +352,11 @@ def _nullity_histogram(g: Graph4R, c: EulerSystem) -> Dict[int, int]:
     Each level fixes one vertex's label and inserts its column of M(c, P)
     into the basis ``lead``; a leaf counts c(g) + n - rank circuits.
     """
+    # the Euler, interlacement and GF(2) layers are imported here, not
+    # at the top, so that the frontier engine loads the graph model only
+    from .gf2 import _reduce
+    from .interlace import interlacement_graph
+
     n = g.n
     adj = interlacement_graph(c).rows
     columns = [(1 << v, adj[v], adj[v] | 1 << v) for v in range(n)]
@@ -402,6 +407,8 @@ def profile_by_nullity(
     Args:
         c: reference Euler system; defaults to ``hierholzer(g)``.
     """
+    from .euler import hierholzer
+
     _check_guard(g, max_vertices)
     if c is None:
         c = hierholzer(g)

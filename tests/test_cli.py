@@ -81,6 +81,17 @@ def test_parse_graph_errors():
         parse_graph("vertices: a\nfrob a.0 a.1")
 
 
+def test_parse_graph_tab_after_keyword(capsys, tmp_path):
+    # a tab separates the fields as a space does, after either keyword
+    p = tmp_path / "tabs.graph"
+    text = G4PAR.replace("vertices: ", "vertices:\t").replace("edge u.0", "edge\tu.0")
+    assert "edge\tu.0" in text
+    p.write_text(text)
+    assert parse_graph(text) == parse_graph(G4PAR)
+    code, out, err = run_cli(capsys, "validate", str(p))
+    assert (code, out, err) == (0, "ok: 2 vertices, 4 edges, 1 component\n", "")
+
+
 def test_transitions_round_trip():
     g = graph_loop_plus_parallel()
     c = hierholzer(g)
@@ -298,7 +309,7 @@ def test_orbit_limit_guard(capsys, monkeypatch, g4_file):
     def no_orbit(g, c):
         raise AssertionError("orbit walked before the limit check")
 
-    monkeypatch.setattr("interlacement.cli.orbit_codes", no_orbit)
+    monkeypatch.setattr("interlacement.euler.orbit_codes", no_orbit)
     code, out, err = run_cli(capsys, "orbit", g4_file, "--limit", "3")
     assert code == 3 and out == ""
     assert err == "guard: orbit of 6 Euler systems exceeds the limit of 3\n"
@@ -368,7 +379,7 @@ def test_profile_golden(capsys, loops_file):
 
 def test_profile_frontier_guard(capsys, g4_file, monkeypatch):
     # the two-vertex graph opens a 4-edge frontier: 3 pairings
-    monkeypatch.setattr("interlacement.cli.DEFAULT_STATE_GUARD", 2)
+    monkeypatch.setattr("interlacement.profile.DEFAULT_STATE_GUARD", 2)
     code, out, err = run_cli(capsys, "profile", g4_file)
     assert code == 3 and out == ""
     assert err == (
@@ -456,7 +467,7 @@ def test_profile_invariant_breach_exits_two(capsys, g4_file, monkeypatch):
     def broken(g, **kwargs):
         PartitionProfile({1: 1}, g.n, g.c).validate()
 
-    monkeypatch.setattr("interlacement.cli.profile_by_frontier", broken)
+    monkeypatch.setattr("interlacement.profile.profile_by_frontier", broken)
     code, out, err = run_cli(capsys, "profile", g4_file)
     assert code == 2 and "impossible" in err and "Traceback" not in err
 
@@ -496,3 +507,32 @@ def test_console_script_trace_profile(tmp_path):
     assert proc.returncode == 0, proc.stderr
     expect = " ".join(f"{k}:{v}" for k, v in profile_by_tracing(g).sorted_items())
     assert proc.stdout == expect + "\n"
+
+
+_LOADED_MODULES = (
+    "import sys\n"
+    "from interlacement.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(*sorted(m for m in sys.modules if m.startswith('interlacement.')))\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, layers",
+    [
+        ("validate", "cli errors graph4"),
+        ("profile", "cli errors graph4 profile"),
+        ("orbit", "cli errors euler gf2 graph4 profile"),
+    ],
+)
+def test_command_loads_only_its_layers(g4_file, command, layers):
+    # a fresh interpreter: each command imports only the layers it runs
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, command, g4_file],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1].split()
+    assert loaded == [f"interlacement.{m}" for m in layers.split()]

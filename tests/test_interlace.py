@@ -120,6 +120,20 @@ def test_package_names_listed_where_defined():
         if name not in getattr(home[name], "__all__", ())
     ]
     assert unlisted == []
+    # the package resolves each name lazily, to the defining module's
+    # object, for attribute access and for a star import alike
+    star = {}
+    exec("from interlacement import *", star)
+    astray = [
+        name
+        for name in interlacement.__all__
+        if not getattr(interlacement, name) is star[name] is getattr(home[name], name)
+    ]
+    assert astray == []
+    assert set(interlacement.__all__) <= set(dir(interlacement))
+    assert not hasattr(interlacement, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        interlacement.no_such_name
 
 
 def test_simple_graph_guards():

@@ -24,6 +24,7 @@ from interlacement import (
     profile_by_tracing,
     random_matching_graph,
 )
+from interlacement import interlace as interlace_module
 from interlacement import profile as profile_module
 from interlacement.cli import format_graph
 from interlacement.profile import _frontier_plan, _state_bound
@@ -158,7 +159,7 @@ def test_nullity_independent_of_reference(g):
 def test_nullity_agreement_control(monkeypatch):
     # with one interlacement edge toggled, the nullity engine must
     # disagree with the tracer somewhere: the agreement tests can fail
-    real = profile_module.interlacement_graph
+    real = interlace_module.interlacement_graph
 
     def toggled(c):
         h = real(c)
@@ -173,7 +174,7 @@ def test_nullity_agreement_control(monkeypatch):
         except InvalidProfile:
             return None
 
-    monkeypatch.setattr(profile_module, "interlacement_graph", toggled)
+    monkeypatch.setattr(interlace_module, "interlacement_graph", toggled)
     graphs = [g for g in corpus(5) if g.n >= 2]
     assert any(nullity(g) != profile_by_tracing(g).coefficients for g in graphs)
 
