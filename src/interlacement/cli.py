@@ -54,6 +54,9 @@ EXIT_GUARD = 3
 _FORCED_VERTEX_GUARD = 39
 _FORCED_STATE_GUARD = 2_027_025
 
+# vertices per generated graph of ``verify`` without a graph file
+_VERIFY_SIZE = 8
+
 
 def parse_graph(text: str) -> Graph4R:
     """Parse the plain text graph format.
@@ -319,10 +322,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--size",
         type=_count,
-        default=8,
         metavar="N",
         help="vertices per generated graph when graphfile is omitted "
-        "(default 8)",
+        f"(default {_VERIFY_SIZE})",
     )
     p.add_argument(
         "--force",
@@ -488,10 +490,11 @@ def cmd_verify(args) -> int:
     if args.graphfile is None:
         if args.exhaustive:
             raise ParseError("--exhaustive needs a graph file")
-        report = run_random_graphs(
-            args.size, args.samples, args.seed, corrupt=corrupt
-        )
+        size = _VERIFY_SIZE if args.size is None else args.size
+        report = run_random_graphs(size, args.samples, args.seed, corrupt=corrupt)
     else:
+        if args.size is not None:
+            raise ParseError("--size applies only without a graph file")
         g = _load_graph(args.graphfile)
         if args.exhaustive:
             report = run_exhaustive(g, force=args.force, corrupt=corrupt)

@@ -251,33 +251,41 @@ def check_interlacement_complement(g: Graph4R, c: EulerSystem, v) -> CheckResult
     )
 
 
+_SWAP_AT_V = {
+    TransitionLabel.PHI: TransitionLabel.PSI,
+    TransitionLabel.PSI: TransitionLabel.PHI,
+    TransitionLabel.CHI: TransitionLabel.CHI,
+}
+_SWAP_AT_NBR = {
+    TransitionLabel.CHI: TransitionLabel.PSI,
+    TransitionLabel.PSI: TransitionLabel.CHI,
+    TransitionLabel.PHI: TransitionLabel.PHI,
+}
+
+
+def _exchanged_labels(c: EulerSystem, v, before: Dict) -> Dict:
+    """The labels wrt kappa(c, v) that the exchange rules predict from
+    ``before``, the labels of the same transitions wrt ``c``."""
+    neighbors = set(interlacement_graph(c).neighbors(v))
+    expected = {}
+    for w, lab in before.items():
+        if w == v:
+            expected[w] = _SWAP_AT_V[lab]
+        elif w in neighbors:
+            expected[w] = _SWAP_AT_NBR[lab]
+        else:
+            expected[w] = lab
+    return expected
+
+
 def check_label_exchange(
     g: Graph4R, c: EulerSystem, ts: TransitionSystem, v
 ) -> CheckResult:
     """Relabeling rule under the vertex transform at ``v``: phi and psi
     swap at ``v`` itself, chi and psi swap at every interlacement
     neighbor of ``v``, and all other labels are unchanged."""
-    before = label_transitions(c, ts)
+    expected = _exchanged_labels(c, v, label_transitions(c, ts))
     after = label_transitions(kappa_transform(c, v), ts)
-    neighbors = set(interlacement_graph(c).neighbors(v))
-    swap_at_v = {
-        TransitionLabel.PHI: TransitionLabel.PSI,
-        TransitionLabel.PSI: TransitionLabel.PHI,
-        TransitionLabel.CHI: TransitionLabel.CHI,
-    }
-    swap_at_nbr = {
-        TransitionLabel.CHI: TransitionLabel.PSI,
-        TransitionLabel.PSI: TransitionLabel.CHI,
-        TransitionLabel.PHI: TransitionLabel.PHI,
-    }
-    expected = {}
-    for w, lab in before.items():
-        if w == v:
-            expected[w] = swap_at_v[lab]
-        elif w in neighbors:
-            expected[w] = swap_at_nbr[lab]
-        else:
-            expected[w] = lab
     ok = after == expected
     if ok:
         return CheckResult(True)
@@ -300,9 +308,13 @@ def check_naturality(
     matrix(c2, ts) = matrix(c2, c.ts) @ matrix(c, ts), with the change
     of basis matrix(c2, c.ts) nonsingular.
 
-    Builds the three matrices of one point; the exhaustive sweep in
-    ``verify`` builds them once per run instead and shares the comparison
-    through ``_naturality_result``.
+    Builds the three matrices of one point.  The exhaustive sweep in
+    ``verify`` reads them from one table per run instead and decides most
+    points column by column: each column of M(c, ts) is the same column
+    of M(c, P_t), P_t the constant system with ts's code there, and a
+    left multiplication acts on each column alone.  Points that column
+    test does not prove go through ``_naturality_result``, the comparison
+    this check makes.
     """
     m_change = modified_interlacement_matrix(c2, c.ts)
     return _naturality_result(

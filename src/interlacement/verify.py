@@ -10,12 +10,24 @@ configuration per sample and pass it to every property.  All randomness
 comes from one ``random.Random(seed)`` stream, so reports are
 reproducible byte for byte.
 
-The exhaustive sweep of naturality, M(c2, ts) = M(c2, c.ts) M(c, ts)
-over every pair (c, c2) of the orbit and every ts, reads its matrices
-from one table of M(c, ts) per run: each matrix is built once, and each
-change of basis M(c2, c.ts) and its rank once per pair, instead of
-three builds and a rank per check.  It makes the same checks in the
-same order and reports the same witnesses as the per-point sweep.
+Three identities of the exhaustive sweep act column by column:
+naturality, M(c2, ts) = M(c2, c.ts) M(c, ts) over (c, c2, ts); the
+local-complement transform, a row operation on M(c, ts), over
+(c, ts, v); and the label exchange over (c, ts, v).  Column v of M(c, ts)
+depends only on ts's code t at v (it is e_v, A e_v or A e_v + e_v), and
+so does the label at v.  The sweep builds one table per run of M(c, ts)
+and the labels of ts wrt c for every orbit member c and every ts, and
+checks that each entry is its *column assembly*: column v taken from
+the constant system whose codes are all t.  Per (c, c2), or per (c, v),
+it then compares both sides of the identity at the three constant
+systems only, which marks the bad columns of each code.  A point is
+proven when the entries it reads are column assemblies, the change of
+basis is nonsingular (naturality only), and no column is bad for its
+code; a row whose every point is proven counts at once.  Every other
+point goes to the per-point check, so the checks, the verdicts and the
+witnesses, in order, are those of a sweep of one call per point.  The
+other properties, and the local-complement transform under
+``corrupt``, run one call per point.
 """
 
 from __future__ import annotations
@@ -23,11 +35,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
+from . import interlace
 from .errors import TooLarge
 from .euler import EulerSystem, hierholzer, kappa_transform, kotzig_orbit
-from .gf2 import GF2Matrix, rank
+from .gf2 import GF2Matrix, mat_mul, rank
 from .graph4 import (
     Graph4R,
     TRANSITIONS,
@@ -48,6 +62,7 @@ from .interlace import (
     interlacement_graph,
     modified_interlacement_matrix,
     modified_local_complement,
+    _exchanged_labels,
     _naturality_result,
 )
 from .profile import euler_count
@@ -203,31 +218,237 @@ def _record(outcome: PropertyOutcome, g: Graph4R, result: CheckResult) -> None:
     outcome.record(result, lambda: _fmt_witness(g, result.witness))
 
 
-def _sweep_naturality(outcome: PropertyOutcome, g: Graph4R, orbit) -> None:
-    """Naturality over the axes (c, c2, ts) from a table of M(c, ts).
+class _OrbitTable:
+    """The matrices and labels of one run: M(c, ts) and
+    ``label_transitions(c, ts)`` for every member c of one orbit and every
+    ts of ``all_ts``, in ``itertools.product`` order.
 
-    ``table[i][k]`` is M(orbit[i], all_ts[k]), so the table holds
-    |orbit| * 3^n matrices while the sweep makes |orbit|^2 * 3^n checks.
-    The change of basis M(c2, c.ts) is the table entry of c2 at c.ts, and
-    its rank is taken once per pair.
+    Column v of M(c, ts), like the label at v, depends only on ts's code t
+    there, so it should be column v of M(c, P_t), P_t the constant system
+    with every code t.  The *column assembly* of an entry takes each column
+    from the entry of its code's constant system; ``local[i][k]`` tells
+    whether entry k of member i is its column assembly.  Each half is built
+    on first use.  The matrix half keeps every entry, the label half only
+    the three constant entries of each member.
+
+    The builders are read through ``interlace``, where the per-point checks
+    read them, so both routes run the same functions.
     """
-    all_ts = list(map(TransitionSystem, itertools.product((0, 1, 2), repeat=g.n)))
-    table = [[modified_interlacement_matrix(c, ts) for ts in all_ts] for c in orbit]
-    for c, row in zip(orbit, table):
-        k = _ts_index(c.ts)
-        for c2, row2 in zip(orbit, table):
-            m_change = row2[k]
+
+    def __init__(self, g: Graph4R, orbit):
+        self.g = g
+        self.orbit = orbit
+        self.all_ts = list(
+            map(TransitionSystem, itertools.product((0, 1, 2), repeat=g.n))
+        )
+        self.index = {c.ts: i for i, c in enumerate(orbit)}
+        # masks[k][t]: the vertices where all_ts[k] has code t
+        self.masks = [
+            tuple(
+                sum(1 << v for v, code in enumerate(ts.codes) if code == t)
+                for t in (0, 1, 2)
+            )
+            for ts in self.all_ts
+        ]
+        # position of P_t in all_ts
+        self.constant = [
+            _ts_index(TransitionSystem((t,) * g.n)) for t in (0, 1, 2)
+        ]
+
+    def _rows(self, build, is_assembly):
+        """Per member: its entries over ``all_ts`` and their flags."""
+        for c in self.orbit:
+            row = [build(c, ts) for ts in self.all_ts]
+            consts = [row[k] for k in self.constant]
+            yield row, [
+                is_assembly(entry, consts, ts, masks)
+                for entry, ts, masks in zip(row, self.all_ts, self.masks)
+            ]
+
+    @cached_property
+    def matrices(self):
+        """(entries, local), ``entries[i][k]`` = M(orbit[i], all_ts[k])."""
+        n = self.g.n
+
+        def is_assembly(m, consts, ts, masks):
+            m0, m1, m2 = masks
+            assembly = tuple(
+                r0 & m0 | r1 & m1 | r2 & m2
+                for r0, r1, r2 in zip(*(k.rows for k in consts))
+            )
+            return m.nrows == m.ncols == n and m.rows == assembly
+
+        entries, local = [], []
+        for row, flags in self._rows(
+            interlace.modified_interlacement_matrix, is_assembly
+        ):
+            entries.append(row)
+            local.append(flags)
+        return entries, local
+
+    @cached_property
+    def labels(self):
+        """(constants, local), ``constants[i][t]`` = the labels of P_t
+        wrt orbit[i]."""
+        vertices = self.g.vertices
+
+        def is_assembly(labels, consts, ts, masks):
+            return labels == {
+                w: consts[t].get(w) for w, t in zip(vertices, ts.codes)
+            }
+
+        constants, local = [], []
+        for row, flags in self._rows(interlace.label_transitions, is_assembly):
+            constants.append([row[k] for k in self.constant])
+            local.append(flags)
+        return constants, local
+
+
+def _bad_columns(a: GF2Matrix, b: GF2Matrix) -> int:
+    """The columns where ``a`` and ``b`` differ, as a bit mask."""
+    bad = 0
+    for ra, rb in zip(a.rows, b.rows):
+        bad |= ra ^ rb
+    return bad
+
+
+def _bad_labels(g: Graph4R, expected: Dict, actual: Dict) -> int:
+    """The vertices where two label dicts differ, as a bit mask."""
+    return sum(
+        1 << i for i, w in enumerate(g.vertices) if actual.get(w) != expected.get(w)
+    )
+
+
+def _proven(bad, local_a, local_b, k, masks) -> bool:
+    """Whether the column test proves point ``all_ts[k]`` of a row.
+
+    ``bad[t]`` marks the columns where the row's identity fails at P_t, or
+    ``bad`` is None when the row proves nothing.  The point holds exactly
+    when both entries it reads are column assemblies and no column of code
+    t is bad at P_t.
+    """
+    if bad is None or not (local_a[k] and local_b[k]):
+        return False
+    b0, b1, b2 = bad
+    m0, m1, m2 = masks
+    return not (b0 & m0 | b1 & m1 | b2 & m2)
+
+
+def _sweep_naturality(outcome: PropertyOutcome, g: Graph4R, table) -> None:
+    """Naturality over the axes (c, c2, ts), decided column by column.
+
+    The change of basis X = M(c2, c.ts) is a table entry, with its rank
+    taken once per pair.  Left multiplication by X acts on each column
+    alone, so when M(c, ts) and M(c2, ts) are column assemblies, X M(c, ts)
+    = M(c2, ts) holds exactly when X M(c, P_t) and M(c2, P_t) agree on the
+    columns where ts has code t, for each t.  A pair whose every point is
+    proven counts its 3^n checks at once; any other point is decided by
+    ``_naturality_result`` on its table entries.
+    """
+    matrices, local = table.matrices
+    whole = [all(flags) for flags in local]
+    for i, c in enumerate(table.orbit):
+        k_c = _ts_index(c.ts)
+        for j, c2 in enumerate(table.orbit):
+            m_change = matrices[j][k_c]
             nonsingular = rank(m_change) == g.n
-            for ts, m_base, m_direct in zip(all_ts, row, row2):
+            bad = None
+            if nonsingular and local[j][k_c]:
+                bad = tuple(
+                    _bad_columns(mat_mul(m_change, matrices[i][k]), matrices[j][k])
+                    for k in table.constant
+                )
+                if whole[i] and whole[j] and not any(bad):
+                    outcome.checks += len(table.all_ts)
+                    continue
+            for k, (ts, masks) in enumerate(zip(table.all_ts, table.masks)):
+                if _proven(bad, local[i], local[j], k, masks):
+                    outcome.checks += 1
+                    continue
                 result = _naturality_result(
-                    c, c2, ts, m_change, nonsingular, m_base, m_direct
+                    c, c2, ts, m_change, nonsingular, matrices[i][k], matrices[j][k]
                 )
                 _record(outcome, g, result)
 
 
-# Checks whose exhaustive sweep over their axes has a faster route than
-# one call per point; keyed by the function objects in ``PROPERTIES``.
-_TABLE_SWEEPS = {check_naturality: _sweep_naturality}
+def _sweep_by_vertex(outcome, g, table, local, bad_columns, check) -> None:
+    """``check`` over the axes (c, ts, v), decided column by column.
+
+    Per (c, v), ``bad_columns(i, j, v)`` gives the bad columns at the three
+    constant systems, where i and j are the orbit indices of c and of
+    kappa(c, v), whose entries ``local`` flags.  A member whose every
+    point is proven counts its 3^n * n checks at once; any other point is
+    decided by ``check``.
+    """
+    whole = [all(flags) for flags in local]
+    for i, c in enumerate(table.orbit):
+        rows = []
+        every = whole[i]
+        for v in g.vertices:
+            j = table.index.get(kappa_transform(c, v).ts)
+            if j is None:
+                # kappa(c, v) outside the orbit: no entries to prove from
+                rows.append((v, None, None))
+                every = False
+                continue
+            bad = bad_columns(i, j, v)
+            rows.append((v, bad, local[j]))
+            every = every and whole[j] and not any(bad)
+        if every:
+            outcome.checks += len(table.all_ts) * len(rows)
+            continue
+        for k, (ts, masks) in enumerate(zip(table.all_ts, table.masks)):
+            for v, bad, local_j in rows:
+                if _proven(bad, local[i], local_j, k, masks):
+                    outcome.checks += 1
+                else:
+                    _record(outcome, g, check(g, c, ts, v))
+
+
+def _sweep_transform(outcome: PropertyOutcome, g: Graph4R, table) -> None:
+    """The local-complement transform over (c, ts, v), column by column:
+    the row operations at v are a left multiplication, so they too act on
+    each column of M(c, ts) alone."""
+    matrices, local = table.matrices
+
+    def bad_columns(i, j, v):
+        c = table.orbit[i]
+        return tuple(
+            _bad_columns(
+                interlace.modified_local_complement(matrices[i][k], c, v),
+                matrices[j][k],
+            )
+            for k in table.constant
+        )
+
+    _sweep_by_vertex(
+        outcome, g, table, local, bad_columns, check_local_complement_transform
+    )
+
+
+def _sweep_label_exchange(outcome: PropertyOutcome, g: Graph4R, table) -> None:
+    """The label exchange over (c, ts, v), column by column: the rule at
+    each vertex reads the label there alone."""
+    constants, local = table.labels
+
+    def bad_columns(i, j, v):
+        c = table.orbit[i]
+        return tuple(
+            _bad_labels(g, _exchanged_labels(c, v, before), after)
+            for before, after in zip(constants[i], constants[j])
+        )
+
+    _sweep_by_vertex(outcome, g, table, local, bad_columns, check_label_exchange)
+
+
+# Checks whose exhaustive sweep over their axes reads the run's
+# ``_OrbitTable`` and proves most points column by column; keyed by the
+# function objects in ``PROPERTIES``.
+_TABLE_SWEEPS = {
+    check_naturality: _sweep_naturality,
+    check_local_complement_transform: _sweep_transform,
+    check_label_exchange: _sweep_label_exchange,
+}
 
 
 def _orbit(g: Graph4R, c0: EulerSystem):
@@ -244,21 +465,23 @@ def _orbit(g: Graph4R, c0: EulerSystem):
     return orbit
 
 
-def _sweep(g, c0, name, checks, orbit=None) -> PropertyOutcome:
-    """Run ``checks``, the table entry of property ``name``, over their
-    full products; a check that raises ``TooLarge`` skips the property.
+def _sweep(g, c0, name, checks, table=None) -> PropertyOutcome:
+    """Run ``checks``, the ``PROPERTIES`` entry of property ``name``, over
+    their full products; a check that raises ``TooLarge`` skips the
+    property.
 
-    ``orbit`` is ``_orbit(g, c0)`` when the caller has built it; otherwise
-    it is built here if a check ranges over c or c2.
+    ``table`` is the run's ``_OrbitTable`` when the caller has made one;
+    otherwise one is made here if a check ranges over c or c2.
     """
     outcome = PropertyOutcome(name)
-    if orbit is None and any({"c", "c2"} & set(axes) for _, axes in checks):
-        orbit = _orbit(g, c0)
+    if table is None and any({"c", "c2"} & set(axes) for _, axes in checks):
+        table = _OrbitTable(g, _orbit(g, c0))
+    orbit = None if table is None else table.orbit
     try:
         for check, axes in checks:
             table_sweep = _TABLE_SWEEPS.get(check)
             if table_sweep is not None:
-                table_sweep(outcome, g, orbit)
+                table_sweep(outcome, g, table)
                 continue
             for args in _points(g, c0, orbit, axes):
                 _record(outcome, g, check(g, *args))
@@ -293,7 +516,7 @@ def _negative_control(g, c, ts, v) -> CheckResult:
     )
 
 
-def _table(corrupt: bool):
+def _properties(corrupt: bool):
     """The property table; with ``corrupt``, the first local-complement
     transform check of the run is the negative control."""
     if not corrupt:
@@ -325,9 +548,10 @@ def run_exhaustive(
 ) -> VerifyReport:
     """Exhaustive sweep: every property over its full product of axes.
 
-    The transform orbit of ``hierholzer(g)`` is built once and shared by
-    every property; naturality runs from one matrix table (see the module
-    docstring).
+    The transform orbit of ``hierholzer(g)`` and its table of matrices
+    and labels are built once and shared by every property; naturality,
+    the local-complement transform and the label exchange are decided
+    from the table (see the module docstring).
 
     Raises:
         TooLarge: the number of checks, estimated from ``euler_count``
@@ -342,15 +566,16 @@ def run_exhaustive(
                 f"(limit {_WORK_LIMIT}); use force to run anyway"
             )
     c0 = hierholzer(g)
-    orbit = _orbit(g, c0)
-    table = _table(corrupt)
+    table = _OrbitTable(g, _orbit(g, c0))
+    properties = _properties(corrupt)
     meta = [
         _graph_line(g),
         "mode: exhaustive",
-        f"orbit size: {len(orbit)}",
+        f"orbit size: {len(table.orbit)}",
     ]
     return VerifyReport(
-        meta, [_sweep(g, c0, name, table[name], orbit) for name in PROPERTY_NAMES]
+        meta,
+        [_sweep(g, c0, name, properties[name], table) for name in PROPERTY_NAMES],
     )
 
 
@@ -370,7 +595,7 @@ def _check_sample(
     g: Graph4R,
     c0: EulerSystem,
     rng: random.Random,
-    table,
+    properties,
     outcomes: Dict[str, PropertyOutcome],
 ) -> None:
     """Draw one random configuration and pass it to every property that
@@ -382,7 +607,7 @@ def _check_sample(
     size = trace_partition(g, ts).size
     subset = tuple(i for i in range(size) if rng.random() < 0.5)
     sample = {"c": c, "c0": c, "c2": c2, "ts": ts, "v": v, "subset": subset}
-    for name, checks in table.items():
+    for name, checks in properties.items():
         for check, axes in checks:
             if axes:
                 _record(outcomes[name], g, check(g, *(sample[a] for a in axes)))
@@ -400,10 +625,10 @@ def run_samples(
     circuit subset."""
     rng = random.Random(seed)
     c0 = hierholzer(g)
-    table = _table(corrupt)
+    properties = _properties(corrupt)
     outcomes = {name: PropertyOutcome(name) for name in PROPERTY_NAMES}
     for _ in range(samples):
-        _check_sample(g, c0, rng, table, outcomes)
+        _check_sample(g, c0, rng, properties, outcomes)
     outcomes["kotzig closure"] = sweep_property(g, c0, "kotzig closure")
     meta = [
         _graph_line(g),
@@ -427,13 +652,13 @@ def run_random_graphs(
     is checked on the first graph only.
     """
     rng = random.Random(seed)
-    table = _table(corrupt)
+    properties = _properties(corrupt)
     outcomes = {name: PropertyOutcome(name) for name in PROPERTY_NAMES}
     closure = "kotzig closure"
     for i in range(samples):
         g = random_matching_graph(size, seed=rng.randrange(2 ** 32))
         c0 = hierholzer(g)
-        _check_sample(g, c0, rng, table, outcomes)
+        _check_sample(g, c0, rng, properties, outcomes)
         if i == 0:
             outcomes[closure] = sweep_property(g, c0, closure)
     meta = [

@@ -482,6 +482,17 @@ def test_verify_exhaustive_needs_file(capsys):
     assert code == 1
 
 
+def test_verify_size_needs_no_file(capsys, g4_file):
+    # --size sizes the generated graphs, so a graph file leaves it no use
+    for mode in (("--samples", "3"), ("--exhaustive",)):
+        code, out, err = run_cli(capsys, "verify", g4_file, *mode, "--size", "4")
+        assert (code, out) == (1, "")
+        assert err == "error: --size applies only without a graph file\n"
+    code, out, err = run_cli(capsys, "verify", "--samples", "1")
+    assert code == 0
+    assert "graphs: 1 generated, 8 vertices each" in out
+
+
 def test_unknown_flag_exits_one(capsys, g4_file):
     code, out, err = run_cli(capsys, "validate", g4_file, "--frobnicate")
     assert code == 1

@@ -8,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import interlacement
 from interlacement import (
@@ -238,6 +240,58 @@ def test_matrix_label_structure(g_mixed):
                 assert col == ref
             else:
                 assert col == ref
+
+
+def column(m, j):
+    return tuple(r >> j & 1 for r in m.rows)
+
+
+def assemble(parts, codes):
+    # the column assembly: column j taken from parts[codes[j]]
+    rows = [0] * parts[0].nrows
+    for j, t in enumerate(codes):
+        for i, bit in enumerate(column(parts[t], j)):
+            rows[i] |= bit << j
+    return GF2Matrix(parts[0].nrows, len(codes), tuple(rows))
+
+
+@pytest.mark.parametrize("g", corpus(5), ids=lambda g: "-".join(g.vertices))
+def test_columns_depend_on_their_code_alone(g):
+    # what the column-by-column sweeps in verify rest on: column v of
+    # M(c, ts), and the label at v, are those of the constant system
+    # whose codes all equal ts's code at v
+    constant = [TransitionSystem((t,) * g.n) for t in range(3)]
+    for c in kotzig_orbit(g, hierholzer(g)):
+        matrices = [modified_interlacement_matrix(c, p) for p in constant]
+        labels = [label_transitions(c, p) for p in constant]
+        for ts in all_ts(g):
+            m = modified_interlacement_matrix(c, ts)
+            lab = label_transitions(c, ts)
+            for j, (v, t) in enumerate(zip(g.vertices, ts.codes)):
+                assert column(m, j) == column(matrices[t], j)
+                assert lab[v] == labels[t][v]
+            assert m == assemble(matrices, ts.codes)
+
+
+@given(st.integers(1, 6), st.integers(0, 10**6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_row_operations_commute_with_column_assembly(n, seed, data):
+    # a left multiplication acts on each column alone, so it may be taken
+    # before or after the assembly; modified_local_complement is one
+    g = random_matching_graph(n, seed=seed)
+    c = hierholzer(g)
+    for vi in data.draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        c = kappa_transform(c, g.vertices[vi])
+    square = st.lists(st.integers(0, 2 ** n - 1), min_size=n, max_size=n)
+    parts = [GF2Matrix(n, n, tuple(data.draw(square))) for _ in range(3)]
+    a = GF2Matrix(n, n, tuple(data.draw(square)))
+    codes = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    v = g.vertices[data.draw(st.integers(0, n - 1))]
+    m = assemble(parts, codes)
+    assert mat_mul(a, m) == assemble([mat_mul(a, p) for p in parts], codes)
+    assert modified_local_complement(m, c, v) == assemble(
+        [modified_local_complement(p, c, v) for p in parts], codes
+    )
 
 
 @pytest.mark.parametrize("g", corpus(4), ids=lambda g: "-".join(g.vertices))

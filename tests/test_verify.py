@@ -3,6 +3,7 @@ import pytest
 from interlacement import (
     GF2Matrix,
     TooLarge,
+    TransitionSystem,
     euler_count,
     hierholzer,
     interlace,
@@ -176,7 +177,7 @@ def test_label_exchange_witness_line(monkeypatch):
 
 def per_point(g, name):
     """Property ``name`` swept with one check call per point of its
-    axes, the route the naturality table replaces."""
+    axes, the route the table sweeps replace."""
     c0 = hierholzer(g)
     orbit = kotzig_orbit(g, c0)
     outcome = verify.PropertyOutcome(name)
@@ -195,6 +196,173 @@ def test_naturality_table_matches_per_point():
         table = sweep_property(g, hierholzer(g), "naturality")
         assert outcome_of(table) == outcome_of(per_point(g, "naturality"))
         assert table.ok
+
+
+@pytest.mark.parametrize("name", ["local-complement transform", "label exchange"])
+def test_vertex_table_sweeps_match_per_point(name):
+    for g in corpus(4):
+        table = sweep_property(g, hierholzer(g), name)
+        assert outcome_of(table) == outcome_of(per_point(g, name))
+        assert table.ok
+
+
+def plant(monkeypatch, name, wrap):
+    """Replace ``interlace.<name>``, and verify's import of it if any, by
+    ``wrap(real)``."""
+    fake = wrap(getattr(interlace, name))
+    monkeypatch.setattr(interlace, name, fake)
+    if hasattr(verify, name):
+        monkeypatch.setattr(verify, name, fake)
+
+
+def plant_entry(target, change=verify._corrupted):
+    # M(c, ts) changed at (c.ts, ts) == target; by default entry (0, 0)
+    # is flipped
+    def wrap(real):
+        def planted(c, ts):
+            m = real(c, ts)
+            return change(m) if (c.ts, ts) == target else m
+
+        return planted
+
+    return wrap
+
+
+def zero(m):
+    return GF2Matrix(m.nrows, m.ncols, (0,) * m.nrows)
+
+
+def swap_label(target):
+    # the label of the first vertex moved one step along phi, chi, psi
+    # at (c.ts, ts) == target
+    order = list(TransitionLabel)
+    step = dict(zip(order, order[1:] + order[:1]))
+
+    def wrap(real):
+        def swapped(c, ts):
+            labels = real(c, ts)
+            if (c.ts, ts) == target:
+                first = next(iter(labels))
+                labels[first] = step[labels[first]]
+            return labels
+
+        return swapped
+
+    return wrap
+
+
+def wrong_neighbour(target, w):
+    # the row operation at (c.ts, v) == target also toggles row w, which
+    # turns w into a neighbour of v or out of one
+    def wrap(real):
+        def wrong(m, c, v):
+            out = real(m, c, v)
+            if (c.ts, v) != target:
+                return out
+            rows = list(out.rows)
+            rows[w] ^= m.rows[c.graph.vertex_index(v)]
+            return GF2Matrix(out.nrows, out.ncols, tuple(rows))
+
+        return wrong
+
+    return wrap
+
+
+PLANT_GRAPH = random_matching_graph(3, seed=1)
+PLANT_ORBIT = kotzig_orbit(PLANT_GRAPH, hierholzer(PLANT_GRAPH))
+# (1, 0, 0) is not constant; (1, 1, 1) is, so every column of code 1 in
+# the orbit member's matrices or labels is assembled from the planted
+# one.  (1, 1, 1) is also an orbit member's system, so the matrix
+# planted there is also a change of basis.
+PLANT_TS = TransitionSystem((1, 0, 0))
+PLANT_CONSTANT = TransitionSystem((1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "name, wrap, failing",
+    [
+        (
+            "modified_interlacement_matrix",
+            plant_entry((PLANT_ORBIT[1].ts, PLANT_TS)),
+            {"local-complement transform", "naturality"},
+        ),
+        (
+            "modified_interlacement_matrix",
+            plant_entry((PLANT_ORBIT[1].ts, PLANT_CONSTANT)),
+            {"local-complement transform", "naturality"},
+        ),
+        (
+            # a singular change of basis M(c2, c.ts) at c = PLANT_ORBIT[0],
+            # whose system is constant: a product can still match
+            "modified_interlacement_matrix",
+            plant_entry((PLANT_ORBIT[1].ts, PLANT_ORBIT[0].ts), zero),
+            {"local-complement transform", "naturality"},
+        ),
+        (
+            "modified_local_complement",
+            wrong_neighbour((PLANT_ORBIT[2].ts, "v1"), 0),
+            {"local-complement transform"},
+        ),
+        (
+            "label_transitions",
+            swap_label((PLANT_ORBIT[1].ts, PLANT_TS)),
+            {"label exchange"},
+        ),
+        (
+            "label_transitions",
+            swap_label((PLANT_ORBIT[1].ts, PLANT_CONSTANT)),
+            {"label exchange"},
+        ),
+    ],
+    ids=[
+        "entry-off-constant",
+        "entry-at-constant",
+        "singular-change",
+        "wrong-neighbour",
+        "label-off-constant",
+        "label-at-constant",
+    ],
+)
+def test_table_sweeps_negative_controls(monkeypatch, name, wrap, failing):
+    # a planted defect fails the table sweeps at the same points, with
+    # the same witnesses in the same order, as the per-point route
+    plant(monkeypatch, name, wrap)
+    g = PLANT_GRAPH
+    for prop in ("local-complement transform", "naturality", "label exchange"):
+        table = sweep_property(g, hierholzer(g), prop)
+        assert outcome_of(table) == outcome_of(per_point(g, prop))
+        assert table.ok == (prop not in failing)
+
+
+def test_vertex_table_sweeps_on_open_orbit(monkeypatch):
+    # with a member missing from the orbit, some kappa(c, v) has no table
+    # entries; the points of such (c, v) go to the per-point check
+    g = PLANT_GRAPH
+    orbit = PLANT_ORBIT[:-1]
+    monkeypatch.setattr(verify, "kotzig_orbit", lambda g, c: orbit)
+    # the label exchange also checks the interlacement complement per (c, v)
+    for prop, extra in (("local-complement transform", 0), ("label exchange", 1)):
+        outcome = sweep_property(g, hierholzer(g), prop)
+        assert outcome.ok
+        assert outcome.checks == len(orbit) * g.n * (3 ** g.n + extra)
+
+
+def test_exhaustive_builds_table_once(monkeypatch):
+    # the run's table builds each M(c, ts) once for all the properties
+    # that read it; inverse builds two matrices per pair, core-kernel
+    # equality and circuit nullity one per ts
+    calls = []
+    real = interlace.modified_interlacement_matrix
+
+    def counted(c, ts):
+        calls.append(ts)
+        return real(c, ts)
+
+    monkeypatch.setattr(interlace, "modified_interlacement_matrix", counted)
+    g = graph_four_parallel()
+    assert run_exhaustive(g).passed
+    size, points = 6, 3 ** g.n
+    assert len(calls) == size * points + 2 * size ** 2 + 2 * points
 
 
 def test_naturality_table_negative_control(monkeypatch):
