@@ -309,12 +309,13 @@ def check_naturality(
     of basis matrix(c2, c.ts) nonsingular.
 
     Builds the three matrices of one point.  The exhaustive sweep in
-    ``verify`` reads them from one table per run instead and decides most
-    points column by column: each column of M(c, ts) is the same column
-    of M(c, P_t), P_t the constant system with ts's code there, and a
-    left multiplication acts on each column alone.  Points that column
-    test does not prove go through ``_naturality_result``, the comparison
-    this check makes.
+    ``verify`` reads them from one table per run instead and decides each
+    (c, c2) pair column by column: each column of M(c, ts) is the same
+    column of M(c, P_t), P_t the constant system with ts's code there,
+    and a left multiplication acts on each column alone, so the pair
+    holds at every ts once it holds at the three P_t.  Every point of a
+    pair that column test does not prove goes through
+    ``_naturality_result``, the comparison this check makes.
     """
     m_change = modified_interlacement_matrix(c2, c.ts)
     return _naturality_result(

@@ -17,17 +17,24 @@ local-complement transform, a row operation on M(c, ts), over
 depends only on ts's code t at v (it is e_v, A e_v or A e_v + e_v), and
 so does the label at v.  The sweep builds one table per run of M(c, ts)
 and the labels of ts wrt c for every orbit member c and every ts, and
-checks that each entry is its *column assembly*: column v taken from
-the constant system whose codes are all t.  Per (c, c2), or per (c, v),
-it then compares both sides of the identity at the three constant
-systems only, which marks the bad columns of each code.  A point is
-proven when the entries it reads are column assemblies, the change of
-basis is nonsingular (naturality only), and no column is bad for its
-code; a row whose every point is proven counts at once.  Every other
-point goes to the per-point check, so the checks, the verdicts and the
-witnesses, in order, are those of a sweep of one call per point.  The
-other properties, and the local-complement transform under
-``corrupt``, run one call per point.
+checks whether every entry of a member is its *column assembly*: column
+v taken from the constant system whose codes are all t.  Per (c, c2), or
+per (c, v), it then compares both sides of the identity at the three
+constant systems only.  When both members' entries are column
+assemblies, the change of basis is nonsingular (naturality only) and
+both sides agree at the three constant systems, the identity holds at
+every ts, and the checks of that pair, or of that member over all its
+(ts, v), count at once.  Every point of any other pair or member goes to
+the per-point check.
+
+That proof needs the other side of each identity to act column by
+column too: ``mat_mul(X, .)`` and ``modified_local_complement(., c, v)``
+must commute with the column assembly, which
+``test_row_operations_commute_with_column_assembly`` pins, and the
+exchange rule reads each vertex's label alone.  Under that condition the
+checks, the verdicts and the witnesses, in order, are those of a sweep
+of one call per point.  The other properties, and the local-complement
+transform under ``corrupt``, run one call per point.
 """
 
 from __future__ import annotations
@@ -226,10 +233,10 @@ class _OrbitTable:
     Column v of M(c, ts), like the label at v, depends only on ts's code t
     there, so it should be column v of M(c, P_t), P_t the constant system
     with every code t.  The *column assembly* of an entry takes each column
-    from the entry of its code's constant system; ``local[i][k]`` tells
-    whether entry k of member i is its column assembly.  Each half is built
-    on first use.  The matrix half keeps every entry, the label half only
-    the three constant entries of each member.
+    from the entry of its code's constant system; ``whole[i]`` tells
+    whether every entry of member i is its column assembly.  Each half is
+    built on first use.  The matrix half keeps every entry, the label half
+    only the three constant entries of each member.
 
     The builders are read through ``interlace``, where the per-point checks
     read them, so both routes run the same functions.
@@ -256,18 +263,18 @@ class _OrbitTable:
         ]
 
     def _rows(self, build, is_assembly):
-        """Per member: its entries over ``all_ts`` and their flags."""
+        """Per member: its entries over ``all_ts`` and its ``whole`` flag."""
         for c in self.orbit:
             row = [build(c, ts) for ts in self.all_ts]
             consts = [row[k] for k in self.constant]
-            yield row, [
+            yield row, all(
                 is_assembly(entry, consts, ts, masks)
                 for entry, ts, masks in zip(row, self.all_ts, self.masks)
-            ]
+            )
 
     @cached_property
     def matrices(self):
-        """(entries, local), ``entries[i][k]`` = M(orbit[i], all_ts[k])."""
+        """(entries, whole), ``entries[i][k]`` = M(orbit[i], all_ts[k])."""
         n = self.g.n
 
         def is_assembly(m, consts, ts, masks):
@@ -278,17 +285,17 @@ class _OrbitTable:
             )
             return m.nrows == m.ncols == n and m.rows == assembly
 
-        entries, local = [], []
-        for row, flags in self._rows(
+        entries, whole = [], []
+        for row, flag in self._rows(
             interlace.modified_interlacement_matrix, is_assembly
         ):
             entries.append(row)
-            local.append(flags)
-        return entries, local
+            whole.append(flag)
+        return entries, whole
 
     @cached_property
     def labels(self):
-        """(constants, local), ``constants[i][t]`` = the labels of P_t
+        """(constants, whole), ``constants[i][t]`` = the labels of P_t
         wrt orbit[i]."""
         vertices = self.g.vertices
 
@@ -297,41 +304,11 @@ class _OrbitTable:
                 w: consts[t].get(w) for w, t in zip(vertices, ts.codes)
             }
 
-        constants, local = [], []
-        for row, flags in self._rows(interlace.label_transitions, is_assembly):
+        constants, whole = [], []
+        for row, flag in self._rows(interlace.label_transitions, is_assembly):
             constants.append([row[k] for k in self.constant])
-            local.append(flags)
-        return constants, local
-
-
-def _bad_columns(a: GF2Matrix, b: GF2Matrix) -> int:
-    """The columns where ``a`` and ``b`` differ, as a bit mask."""
-    bad = 0
-    for ra, rb in zip(a.rows, b.rows):
-        bad |= ra ^ rb
-    return bad
-
-
-def _bad_labels(g: Graph4R, expected: Dict, actual: Dict) -> int:
-    """The vertices where two label dicts differ, as a bit mask."""
-    return sum(
-        1 << i for i, w in enumerate(g.vertices) if actual.get(w) != expected.get(w)
-    )
-
-
-def _proven(bad, local_a, local_b, k, masks) -> bool:
-    """Whether the column test proves point ``all_ts[k]`` of a row.
-
-    ``bad[t]`` marks the columns where the row's identity fails at P_t, or
-    ``bad`` is None when the row proves nothing.  The point holds exactly
-    when both entries it reads are column assemblies and no column of code
-    t is bad at P_t.
-    """
-    if bad is None or not (local_a[k] and local_b[k]):
-        return False
-    b0, b1, b2 = bad
-    m0, m1, m2 = masks
-    return not (b0 & m0 | b1 & m1 | b2 & m2)
+            whole.append(flag)
+        return constants, whole
 
 
 def _sweep_naturality(outcome: PropertyOutcome, g: Graph4R, table) -> None:
@@ -339,106 +316,87 @@ def _sweep_naturality(outcome: PropertyOutcome, g: Graph4R, table) -> None:
 
     The change of basis X = M(c2, c.ts) is a table entry, with its rank
     taken once per pair.  Left multiplication by X acts on each column
-    alone, so when M(c, ts) and M(c2, ts) are column assemblies, X M(c, ts)
-    = M(c2, ts) holds exactly when X M(c, P_t) and M(c2, P_t) agree on the
-    columns where ts has code t, for each t.  A pair whose every point is
-    proven counts its 3^n checks at once; any other point is decided by
+    alone, so when every M(c, ts) and M(c2, ts) is a column assembly,
+    X M(c, ts) = M(c2, ts) holds for every ts as soon as it holds at the
+    three constant systems.  A pair proven so, with X nonsingular, counts
+    its 3^n checks at once; every point of any other pair is decided by
     ``_naturality_result`` on its table entries.
     """
-    matrices, local = table.matrices
-    whole = [all(flags) for flags in local]
+    matrices, whole = table.matrices
     for i, c in enumerate(table.orbit):
         k_c = _ts_index(c.ts)
         for j, c2 in enumerate(table.orbit):
             m_change = matrices[j][k_c]
             nonsingular = rank(m_change) == g.n
-            bad = None
-            if nonsingular and local[j][k_c]:
-                bad = tuple(
-                    _bad_columns(mat_mul(m_change, matrices[i][k]), matrices[j][k])
-                    for k in table.constant
-                )
-                if whole[i] and whole[j] and not any(bad):
-                    outcome.checks += len(table.all_ts)
-                    continue
-            for k, (ts, masks) in enumerate(zip(table.all_ts, table.masks)):
-                if _proven(bad, local[i], local[j], k, masks):
-                    outcome.checks += 1
-                    continue
+            proven = nonsingular and whole[i] and whole[j] and all(
+                mat_mul(m_change, matrices[i][k]) == matrices[j][k]
+                for k in table.constant
+            )
+            if proven:
+                outcome.checks += len(table.all_ts)
+                continue
+            for k, ts in enumerate(table.all_ts):
                 result = _naturality_result(
                     c, c2, ts, m_change, nonsingular, matrices[i][k], matrices[j][k]
                 )
                 _record(outcome, g, result)
 
 
-def _sweep_by_vertex(outcome, g, table, local, bad_columns, check) -> None:
+def _sweep_by_vertex(outcome, g, table, whole, holds, check) -> None:
     """``check`` over the axes (c, ts, v), decided column by column.
 
-    Per (c, v), ``bad_columns(i, j, v)`` gives the bad columns at the three
+    ``holds(i, j, v)`` tells whether the identity holds at the three
     constant systems, where i and j are the orbit indices of c and of
-    kappa(c, v), whose entries ``local`` flags.  A member whose every
-    point is proven counts its 3^n * n checks at once; any other point is
-    decided by ``check``.
+    kappa(c, v), whose entries ``whole`` flags.  A member c whose every
+    (c, v) is proven so counts its 3^n * n checks at once; every point of
+    any other member, a kappa(c, v) outside the orbit included, is decided
+    by ``check``.
     """
-    whole = [all(flags) for flags in local]
     for i, c in enumerate(table.orbit):
-        rows = []
-        every = whole[i]
-        for v in g.vertices:
-            j = table.index.get(kappa_transform(c, v).ts)
-            if j is None:
-                # kappa(c, v) outside the orbit: no entries to prove from
-                rows.append((v, None, None))
-                every = False
-                continue
-            bad = bad_columns(i, j, v)
-            rows.append((v, bad, local[j]))
-            every = every and whole[j] and not any(bad)
-        if every:
-            outcome.checks += len(table.all_ts) * len(rows)
+        kappa = [table.index.get(kappa_transform(c, v).ts) for v in g.vertices]
+        if whole[i] and all(
+            j is not None and whole[j] and holds(i, j, v)
+            for v, j in zip(g.vertices, kappa)
+        ):
+            outcome.checks += len(table.all_ts) * g.n
             continue
-        for k, (ts, masks) in enumerate(zip(table.all_ts, table.masks)):
-            for v, bad, local_j in rows:
-                if _proven(bad, local[i], local_j, k, masks):
-                    outcome.checks += 1
-                else:
-                    _record(outcome, g, check(g, c, ts, v))
+        for ts in table.all_ts:
+            for v in g.vertices:
+                _record(outcome, g, check(g, c, ts, v))
 
 
 def _sweep_transform(outcome: PropertyOutcome, g: Graph4R, table) -> None:
     """The local-complement transform over (c, ts, v), column by column:
     the row operations at v are a left multiplication, so they too act on
     each column of M(c, ts) alone."""
-    matrices, local = table.matrices
+    matrices, whole = table.matrices
 
-    def bad_columns(i, j, v):
+    def holds(i, j, v):
         c = table.orbit[i]
-        return tuple(
-            _bad_columns(
-                interlace.modified_local_complement(matrices[i][k], c, v),
-                matrices[j][k],
-            )
+        return all(
+            interlace.modified_local_complement(matrices[i][k], c, v)
+            == matrices[j][k]
             for k in table.constant
         )
 
     _sweep_by_vertex(
-        outcome, g, table, local, bad_columns, check_local_complement_transform
+        outcome, g, table, whole, holds, check_local_complement_transform
     )
 
 
 def _sweep_label_exchange(outcome: PropertyOutcome, g: Graph4R, table) -> None:
     """The label exchange over (c, ts, v), column by column: the rule at
     each vertex reads the label there alone."""
-    constants, local = table.labels
+    constants, whole = table.labels
 
-    def bad_columns(i, j, v):
+    def holds(i, j, v):
         c = table.orbit[i]
-        return tuple(
-            _bad_labels(g, _exchanged_labels(c, v, before), after)
+        return all(
+            _exchanged_labels(c, v, before) == after
             for before, after in zip(constants[i], constants[j])
         )
 
-    _sweep_by_vertex(outcome, g, table, local, bad_columns, check_label_exchange)
+    _sweep_by_vertex(outcome, g, table, whole, holds, check_label_exchange)
 
 
 # Checks whose exhaustive sweep over their axes reads the run's

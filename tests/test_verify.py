@@ -228,6 +228,18 @@ def plant_entry(target, change=verify._corrupted):
     return wrap
 
 
+def plant_member(target, change):
+    # every M(c, ts) of the orbit member whose system is target changed
+    def wrap(real):
+        def planted(c, ts):
+            m = real(c, ts)
+            return change(m) if c.ts == target else m
+
+        return planted
+
+    return wrap
+
+
 def zero(m):
     return GF2Matrix(m.nrows, m.ncols, (0,) * m.nrows)
 
@@ -299,6 +311,14 @@ PLANT_CONSTANT = TransitionSystem((1, 1, 1))
             {"local-complement transform", "naturality"},
         ),
         (
+            # every matrix of one member zero: each change of basis into
+            # it is singular, though both sides agree at every constant
+            # system
+            "modified_interlacement_matrix",
+            plant_member(PLANT_ORBIT[1].ts, zero),
+            {"local-complement transform", "naturality"},
+        ),
+        (
             "modified_local_complement",
             wrong_neighbour((PLANT_ORBIT[2].ts, "v1"), 0),
             {"local-complement transform"},
@@ -318,6 +338,7 @@ PLANT_CONSTANT = TransitionSystem((1, 1, 1))
         "entry-off-constant",
         "entry-at-constant",
         "singular-change",
+        "singular-member",
         "wrong-neighbour",
         "label-off-constant",
         "label-at-constant",
