@@ -47,10 +47,10 @@ EXIT_PROPERTY = 2
 EXIT_GUARD = 3
 
 # profile --force guards.  3^39 (about 4e18) transition systems is far
-# past any run that finishes, so the 3^n engines refuse n >= 40 up
-# front.  15!! pairings admit frontiers of up to 16 edges; random
-# connected 32-vertex graphs reach 1.3-1.8M states in 1.5-2.5 min, at
-# about 1 KB per state.
+# past any run that finishes, so the tracer refuses n >= 40 up front.
+# 15!! pairings admit frontiers of up to 16 edges, for the frontier and
+# nullity engines alike; random connected 32-vertex graphs reach
+# 1.3-1.8M frontier states in 1.5-2.5 min, at about 1 KB per state.
 _FORCED_VERTEX_GUARD = 39
 _FORCED_STATE_GUARD = 2_027_025
 
@@ -301,7 +301,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--force",
         action="store_true",
-        help="raise the vertex count and frontier state guards",
+        help="raise the vertex count guard (trace) and the state guard "
+        "(frontier, nullity)",
     )
 
     p = sub.add_parser("verify", help="check the matrix identities on a graph")
@@ -318,7 +319,12 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="check N random configurations instead",
     )
-    p.add_argument("--seed", type=int, default=0, metavar="S")
+    p.add_argument(
+        "--seed",
+        type=int,
+        metavar="S",
+        help="seed of the random configurations of --samples (default 0)",
+    )
     p.add_argument(
         "--size",
         type=_count,
@@ -442,11 +448,11 @@ def cmd_profile(args) -> int:
         if args.engine == "trace":
             profile = profile_by_tracing(g, max_vertices=guard)
         elif args.engine == "nullity":
-            profile = profile_by_nullity(g, max_vertices=guard)
+            profile = profile_by_nullity(g, max_states=states)
         else:
             profile = profile_by_frontier(g, max_states=states)
         if args.engine == "both":
-            by_rank = profile_by_nullity(g, max_vertices=guard)
+            by_rank = profile_by_nullity(g, max_states=states)
     except TooLarge as exc:
         if args.force:
             raise
@@ -487,11 +493,16 @@ def cmd_verify(args) -> int:
     from .verify import run_exhaustive, run_random_graphs, run_samples
 
     corrupt = args.self_test_corrupt
+    if args.exhaustive and args.seed is not None:
+        raise ParseError("--seed applies only with --samples")
+    if not args.exhaustive and args.force:
+        raise ParseError("--force applies only with --exhaustive")
+    seed = 0 if args.seed is None else args.seed
     if args.graphfile is None:
         if args.exhaustive:
             raise ParseError("--exhaustive needs a graph file")
         size = _VERIFY_SIZE if args.size is None else args.size
-        report = run_random_graphs(size, args.samples, args.seed, corrupt=corrupt)
+        report = run_random_graphs(size, args.samples, seed, corrupt=corrupt)
     else:
         if args.size is not None:
             raise ParseError("--size applies only without a graph file")
@@ -499,7 +510,7 @@ def cmd_verify(args) -> int:
         if args.exhaustive:
             report = run_exhaustive(g, force=args.force, corrupt=corrupt)
         else:
-            report = run_samples(g, args.samples, args.seed, corrupt=corrupt)
+            report = run_samples(g, args.samples, seed, corrupt=corrupt)
     code = _print_report(report)
     if corrupt:
         # the harness must have caught the planted corruption

@@ -358,15 +358,29 @@ def _naturality_result(
 
 
 def check_inverse(g: Graph4R, c: EulerSystem, c2: EulerSystem) -> CheckResult:
-    """matrix(c, c2.ts) and matrix(c2, c.ts) are mutually inverse."""
-    a = modified_interlacement_matrix(c, c2.ts)
-    b = modified_interlacement_matrix(c2, c.ts)
-    ok = mat_mul(a, b) == GF2Matrix.identity(g.n)
-    if ok:
-        return CheckResult(True)
-    return CheckResult(
-        False, {"euler": c.ts, "euler2": c2.ts, "product": mat_mul(a, b)}
+    """matrix(c, c2.ts) and matrix(c2, c.ts) are mutually inverse.
+
+    Builds both matrices.  The exhaustive sweep in ``verify`` reads them
+    from its table instead and compares them by ``_inverse_result``.
+    """
+    return _inverse_result(
+        g,
+        c,
+        c2,
+        modified_interlacement_matrix(c, c2.ts),
+        modified_interlacement_matrix(c2, c.ts),
     )
+
+
+def _inverse_result(
+    g: Graph4R, c: EulerSystem, c2: EulerSystem, a: GF2Matrix, b: GF2Matrix
+) -> CheckResult:
+    """The inverse comparison on built matrices: ``a`` = M(c, c2.ts)
+    times ``b`` = M(c2, c.ts) against the identity."""
+    product = mat_mul(a, b)
+    if product == GF2Matrix.identity(g.n):
+        return CheckResult(True)
+    return CheckResult(False, {"euler": c.ts, "euler2": c2.ts, "product": product})
 
 
 def core_vector(g: Graph4R, gamma: Circuit) -> GF2Vector:

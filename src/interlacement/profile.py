@@ -17,19 +17,23 @@ compute it:
   open paths at its slots and counts the circuits that close, and the
   walk undoes its joins on the way back;
 * the nullity engine reads each circuit count off the kernel dimension
-  of M(c, P) for one Euler system c, walking depth first over the
-  labels and inserting each label's column into an incremental GF(2)
-  basis.  It is pure Python.
+  of M(c, P) for one Euler system c.  It opens the vertices in the
+  frontier engine's order and merges the partial label choices whose
+  columns meet the columns still to come in the same subspace: a
+  dynamic program over cut-rank states, which the frontier engine's
+  pairing bound guards.  It shares only that order and bound with the
+  frontier engine.  It is pure Python.
 
-The tracing and nullity engines are the oracles the frontier engine is
-checked against.
+The tracing engine is the 3^n oracle the two state engines are checked
+against; at sizes past its reach they check each other.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Tuple
 
 from .errors import GraphMismatch, InvalidProfile, TooLarge
 from .graph4 import PARTNER_BY_CODE, Graph4R
@@ -47,11 +51,13 @@ __all__ = [
     "euler_count",
 ]
 
-# vertex guard of the two 3^n engines; 3^20 is about 3.5e9 systems
+# vertex guard of the tracer, the one 3^n engine; 3^20 is about 3.5e9
+# systems
 DEFAULT_ENUMERATION_GUARD = 20
 
-# (w - 1)!! pairings of w frontier edges; 13!! admits frontiers of up
-# to 14 edges, which covers random connected graphs up to about n = 28
+# (w - 1)!! pairings of w frontier edges, the state guard of the
+# frontier and nullity engines; 13!! admits frontiers of up to 14
+# edges, which covers random connected graphs up to about n = 28
 DEFAULT_STATE_GUARD = 135_135
 
 _PROGRESS_EVERY = 1 << 20
@@ -92,16 +98,8 @@ class PartitionProfile:
             )
 
 
-def _check_guard(g: Graph4R, max_vertices: int) -> None:
-    if g.n > max_vertices:
-        raise TooLarge(
-            f"profile over 3^{g.n} transition systems refused "
-            f"(guard at {max_vertices} vertices)"
-        )
-
-
 class _Step(NamedTuple):
-    """How opening one vertex changes the frontier.
+    """How opening one vertex, ``vertex``, changes the frontier.
 
     Frontier edges are named by their dangling half-edge, the end at a
     vertex not yet opened, and listed in a fixed order per step; a state
@@ -115,6 +113,7 @@ class _Step(NamedTuple):
     ``kept`` pairs each surviving old position with its next position.
     """
 
+    vertex: int
     ext: Tuple[int, ...]
     taken: Tuple[Tuple[int, int], ...]
     remap: Tuple[int, ...]
@@ -165,6 +164,7 @@ def _frontier_plan(g: Graph4R) -> List[_Step]:
                 ext.append(new_pos[other[h]] + 4)
         steps.append(
             _Step(
+                vertex=v,
                 ext=tuple(ext),
                 taken=tuple(taken),
                 remap=tuple(
@@ -185,6 +185,36 @@ def _frontier_plan(g: Graph4R) -> List[_Step]:
 def _state_bound(steps: List[_Step]) -> int:
     """Most states any step can hold: (w - 1)!! pairings of w edges."""
     return max(math.prod(range(s.width - 1, 0, -2)) for s in steps)
+
+
+def _guarded_plan(g: Graph4R, max_states: int, engine: str) -> List[_Step]:
+    """The frontier order's steps, refused when some step admits more
+    than ``max_states`` states (before any state exists)."""
+    steps = _frontier_plan(g)
+    bound = _state_bound(steps)
+    if bound > max_states:
+        raise TooLarge(
+            f"{engine} profile of {g.n} vertices refused: up to {bound} "
+            f"states (guard at {max_states})"
+        )
+    return steps
+
+
+def _field(g: Graph4R) -> int:
+    """Bits per count of a packed histogram.
+
+    A histogram is one int, sum of count << (k * field): no count exceeds
+    3^n, so the fields never carry into each other.
+    """
+    return (3 ** g.n).bit_length()
+
+
+def _unpack(packed: int, field: int, fields: int) -> Dict[int, int]:
+    """{k: count} of the nonzero counts among the first ``fields``."""
+    mask = (1 << field) - 1
+    return {
+        k: count for k in range(fields) if (count := packed >> k * field & mask)
+    }
 
 
 def _join(ext: List[int], partner: Tuple[int, ...], mates: List[int]) -> int:
@@ -232,16 +262,8 @@ def profile_by_frontier(
         TooLarge: the order's frontier admits more than ``max_states``
             pairings at some step (checked before any state exists).
     """
-    steps = _frontier_plan(g)
-    bound = _state_bound(steps)
-    if bound > max_states:
-        raise TooLarge(
-            f"frontier profile of {g.n} vertices refused: up to {bound} "
-            f"states (guard at {max_states})"
-        )
-    # a histogram is one int, sum of count << (closed * field): no
-    # count exceeds 3^n, so the fields never carry into each other
-    field = (3 ** g.n).bit_length()
+    steps = _guarded_plan(g, max_states, "frontier")
+    field = _field(g)
     states: Dict[Tuple[int, ...], int] = {(): 1}
     for step in steps:
         nxt: Dict[Tuple[int, ...], int] = {}
@@ -261,13 +283,7 @@ def profile_by_frontier(
                 nxt[key] = nxt.get(key, 0) + (hist << closed * field)
         states = nxt
     (packed,) = states.values()
-    mask = (1 << field) - 1
-    coefficients = {
-        k: count
-        for k in range(2 * g.n + 1)
-        if (count := packed >> k * field & mask)
-    }
-    profile = PartitionProfile(coefficients, g.n, g.c)
+    profile = PartitionProfile(_unpack(packed, field, 2 * g.n + 1), g.n, g.c)
     profile.validate()
     return profile
 
@@ -340,17 +356,33 @@ def profile_by_tracing(
     Raises:
         TooLarge: the graph exceeds the enumeration guard.
     """
-    _check_guard(g, max_vertices)
+    if g.n > max_vertices:
+        raise TooLarge(
+            f"profile over 3^{g.n} transition systems refused "
+            f"(guard at {max_vertices} vertices)"
+        )
     profile = PartitionProfile(_circuit_histogram(g), g.n, g.c)
     profile.validate()
     return profile
 
 
-def _nullity_histogram(g: Graph4R, c: EulerSystem) -> Dict[int, int]:
-    """{circuit count: systems} over all 3^n systems, depth first.
+def _nullity_states(
+    g: Graph4R, c: EulerSystem, steps: List[_Step]
+) -> Iterator[Dict[Tuple[int, ...], int]]:
+    """The states after each step of a dynamic program over the labels.
 
-    Each level fixes one vertex's label and inserts its column of M(c, P)
-    into the basis ``lead``; a leaf counts c(g) + n - rank circuits.
+    The vertices open in the order of ``steps``.  After some are open,
+    let U be the span of the columns of M(c, P) chosen so far, and F the
+    span of e_u and A e_u over the unopened u.  Every later column lies
+    in F, so the final rank depends on U only through dim U and
+    S = U ∩ F.  A state is the reduced basis of S (rows in increasing
+    order of lowest bit, each lowest bit cleared from the other rows),
+    carrying a packed histogram over dim U.  Opening v tries its three
+    columns: a column raises the rank exactly when it is not in S, and
+    the next state is (S + <col>) ∩ F' by the modular law.  F' contains
+    every e_u of an unopened u, so x lies in F' exactly when x on the
+    opened vertices lies in W, the span of the A e_u there over the
+    unopened u.  After the last step F = 0 and one state is left.
     """
     # the Euler, interlacement and GF(2) layers are imported here, not
     # at the top, so that the frontier engine loads the graph model only
@@ -359,39 +391,68 @@ def _nullity_histogram(g: Graph4R, c: EulerSystem) -> Dict[int, int]:
 
     n = g.n
     adj = interlacement_graph(c).rows
-    columns = [(1 << v, adj[v], adj[v] | 1 << v) for v in range(n)]
-    top = g.c + n
-    hist = [0] * (top + 1)
-    lead: Dict[int, int] = {}
-    leaves = 0
+    field = _field(g)
+    upper = -1 << n
+    states: Dict[Tuple[int, ...], int] = {(): 1}
+    opened = 0
+    for step in steps:
+        v = step.vertex
+        opened |= 1 << v
+        # W's basis, shifted n bits up
+        w_lead: Dict[int, int] = {}
+        for u in range(n):
+            if not opened >> u & 1:
+                w = _reduce((adj[u] & opened) << n, w_lead)
+                if w:
+                    w_lead[w & -w] = w
 
-    def walk(v: int, rank: int) -> None:
-        nonlocal leaves
-        if v == n:
-            hist[top - rank] += 1
-            leaves += 1
-            if leaves % _PROGRESS_EVERY == 0:
-                _log_progress(leaves)
-            return
-        for col in columns[v]:
-            x = _reduce(col, lead)
-            if x:
-                low = x & -x
-                lead[low] = x
-                walk(v + 1, rank + 1)
-                del lead[low]
-            else:
-                walk(v + 1, rank)
+        def meet(rows: List[int]) -> Tuple[int, ...]:
+            """Reduced basis of span(rows) ∩ F' from a reduced basis.
 
-    walk(0, 0)
-    return {k: count for k, count in enumerate(hist) if count}
+            A row b enters the elimination as (b on opened) << n | b,
+            against W's basis; a combination whose upper half reduces
+            to 0 lies in F'.  Taken from the highest lowest bit down,
+            each row that stays is combined only with rows of higher
+            lowest bit that leave, so the rows kept are reduced too.
+            """
+            lead = dict(w_lead)
+            kept = []
+            for b in reversed(rows):
+                z = _reduce((b & opened) << n | b, lead, upper)
+                top = z & upper
+                if top:
+                    lead[top & -top] = z
+                else:
+                    kept.append(z)
+            return tuple(reversed(kept))
+
+        nxt: Dict[Tuple[int, ...], int] = {}
+        for basis, hist in states.items():
+            lows = [row & -row for row in basis]
+            for col in (1 << v, adj[v], adj[v] | 1 << v):
+                for low, row in zip(lows, basis):
+                    if col & low:
+                        col ^= row
+                if col:
+                    # col is not in S: clear its lowest bit from S's rows
+                    # and insert it in order
+                    low = col & -col
+                    rows = [row ^ col if row & low else row for row in basis]
+                    rows.insert(bisect.bisect(lows, low), col)
+                    key = meet(rows)
+                    nxt[key] = nxt.get(key, 0) + (hist << field)
+                else:
+                    key = meet(basis)
+                    nxt[key] = nxt.get(key, 0) + hist
+        states = nxt
+        yield states
 
 
 def profile_by_nullity(
     g: Graph4R,
     c: EulerSystem | None = None,
     *,
-    max_vertices: int = DEFAULT_ENUMERATION_GUARD,
+    max_states: int = DEFAULT_STATE_GUARD,
 ) -> PartitionProfile:
     """Profile computed from kernel dimensions of modified matrices.
 
@@ -399,22 +460,35 @@ def profile_by_nullity(
     count plus the kernel dimension of the modified interlacement matrix
     M(c, P).  Column v of M(c, P) is e_v, A e_v or A e_v + e_v as P
     labels v phi, chi or psi, A the interlacement adjacency of c.  A
-    depth-first walk inserts one column per level into an incremental
-    basis and removes it on the way back.  The same nullity is
-    |S| - rank(A[S] + I_T) for the non-phi vertices S and psi vertices
-    T (Aigner and van der Holst; Traldi).
+    dynamic program over the frontier engine's vertex order merges the
+    partial label choices whose column spans meet the columns still to
+    come in the same subspace (the cut-rank idea of Oum, and of Bläser
+    and Hoffmann).  It shares only the order and its state bound with
+    the frontier engine.  The same nullity is |S| - rank(A[S] + I_T) for
+    the non-phi vertices S and psi vertices T (Aigner and van der Holst;
+    Traldi).
 
     Args:
         c: reference Euler system; defaults to ``hierholzer(g)``.
+
+    Raises:
+        TooLarge: the order's frontier admits more than ``max_states``
+            pairings at some step (checked before any state exists).
     """
     from .euler import hierholzer
 
-    _check_guard(g, max_vertices)
+    steps = _guarded_plan(g, max_states, "nullity")
     if c is None:
         c = hierholzer(g)
     elif c.graph != g:
         raise GraphMismatch("Euler system belongs to a different graph")
-    profile = PartitionProfile(_nullity_histogram(g, c), g.n, g.c)
+    for states in _nullity_states(g, c, steps):
+        pass
+    (packed,) = states.values()
+    # a system of rank r traces c(g) + n - r circuits
+    ranks = _unpack(packed, _field(g), g.n + 1)
+    coefficients = {g.c + g.n - r: count for r, count in ranks.items()}
+    profile = PartitionProfile(coefficients, g.n, g.c)
     profile.validate()
     return profile
 

@@ -33,7 +33,9 @@ must commute with the column assembly, which
 ``test_row_operations_commute_with_column_assembly`` pins, and the
 exchange rule reads each vertex's label alone.  Under that condition the
 checks, the verdicts and the witnesses, in order, are those of a sweep
-of one call per point.  The other properties, and the local-complement
+of one call per point.  The inverse pair reads both its matrices,
+M(c, c2.ts) and M(c2, c.ts), from the same table and compares them as
+``check_inverse`` does.  The other properties, and the local-complement
 transform under ``corrupt``, run one call per point.
 """
 
@@ -70,6 +72,7 @@ from .interlace import (
     modified_interlacement_matrix,
     modified_local_complement,
     _exchanged_labels,
+    _inverse_result,
     _naturality_result,
 )
 from .profile import euler_count
@@ -342,6 +345,19 @@ def _sweep_naturality(outcome: PropertyOutcome, g: Graph4R, table) -> None:
                 _record(outcome, g, result)
 
 
+def _sweep_inverse(outcome: PropertyOutcome, g: Graph4R, table) -> None:
+    """The inverse pair over the axes (c, c2): M(c, c2.ts) and
+    M(c2, c.ts) are table entries, compared by ``_inverse_result``."""
+    matrices, _ = table.matrices
+    k_ts = [_ts_index(c.ts) for c in table.orbit]
+    for i, c in enumerate(table.orbit):
+        for j, c2 in enumerate(table.orbit):
+            result = _inverse_result(
+                g, c, c2, matrices[i][k_ts[j]], matrices[j][k_ts[i]]
+            )
+            _record(outcome, g, result)
+
+
 def _sweep_by_vertex(outcome, g, table, whole, holds, check) -> None:
     """``check`` over the axes (c, ts, v), decided column by column.
 
@@ -400,10 +416,12 @@ def _sweep_label_exchange(outcome: PropertyOutcome, g: Graph4R, table) -> None:
 
 
 # Checks whose exhaustive sweep over their axes reads the run's
-# ``_OrbitTable`` and proves most points column by column; keyed by the
-# function objects in ``PROPERTIES``.
+# ``_OrbitTable``: the inverse pair reads its matrices there, the others
+# also prove most points column by column.  Keyed by the function
+# objects in ``PROPERTIES``.
 _TABLE_SWEEPS = {
     check_naturality: _sweep_naturality,
+    check_inverse: _sweep_inverse,
     check_local_complement_transform: _sweep_transform,
     check_label_exchange: _sweep_label_exchange,
 }
@@ -508,8 +526,8 @@ def run_exhaustive(
 
     The transform orbit of ``hierholzer(g)`` and its table of matrices
     and labels are built once and shared by every property; naturality,
-    the local-complement transform and the label exchange are decided
-    from the table (see the module docstring).
+    the inverse pair, the local-complement transform and the label
+    exchange are decided from the table (see the module docstring).
 
     Raises:
         TooLarge: the number of checks, estimated from ``euler_count``

@@ -391,19 +391,22 @@ def test_profile_frontier_guard(capsys, g4_file, monkeypatch):
 
 
 def test_profile_forced_vertex_guard(capsys, tmp_path):
-    # --force admits at most 39 vertices to the 3^n engines; n = 41 is
-    # refused before any work
+    # --force admits at most 39 vertices to the tracer, and at most 15!!
+    # pairings to the nullity engine; n = 41 is refused before any work
     p = tmp_path / "g41.graph"
     p.write_text(format_graph(random_matching_graph(41, seed=0)))
-    for engine in ("trace", "nullity"):
+    expected = {
+        "trace": "profile over 3^41 transition systems refused "
+        "(guard at 39 vertices)",
+        "nullity": "nullity profile of 41 vertices refused: up to 654729075 "
+        "states (guard at 2027025)",
+    }
+    for engine, message in expected.items():
         code, out, err = run_cli(
             capsys, "profile", str(p), "--engine", engine, "--force"
         )
         assert code == 3 and out == "" and "Traceback" not in err
-        assert err == (
-            "guard: profile over 3^41 transition systems refused "
-            "(guard at 39 vertices)\n"
-        )
+        assert err == f"guard: {message}\n"
 
 
 def test_profile_both_engines(capsys, g4_file):
@@ -493,6 +496,34 @@ def test_verify_size_needs_no_file(capsys, g4_file):
     assert "graphs: 1 generated, 8 vertices each" in out
 
 
+def test_verify_seed_needs_samples(capsys, g4_file):
+    # the exhaustive sweep draws nothing, so a seed has no use there
+    code, out, err = run_cli(capsys, "verify", g4_file, "--exhaustive", "--seed", "5")
+    assert (code, out) == (1, "")
+    assert err == "error: --seed applies only with --samples\n"
+    code, out, err = run_cli(capsys, "verify", g4_file, "--samples", "2", "--seed", "5")
+    assert code == 0 and "seed: 5" in out
+
+
+def test_verify_force_needs_exhaustive(capsys, g4_file):
+    # only the exhaustive sweep has a work guard to force
+    for argv in ((g4_file, "--samples", "2"), ("--samples", "2")):
+        code, out, err = run_cli(capsys, "verify", *argv, "--force")
+        assert (code, out) == (1, "")
+        assert err == "error: --force applies only with --exhaustive\n"
+    code, out, err = run_cli(capsys, "verify", g4_file, "--exhaustive", "--force")
+    assert code == 0 and "all properties verified" in out
+
+
+def test_verify_samples_seed_defaults_to_zero(capsys, g4_file):
+    runs = [
+        run_cli(capsys, "verify", g4_file, "--samples", "4", *seed)
+        for seed in ((), ("--seed", "0"))
+    ]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and "seed: 0" in runs[0][1]
+
+
 def test_unknown_flag_exits_one(capsys, g4_file):
     code, out, err = run_cli(capsys, "validate", g4_file, "--frobnicate")
     assert code == 1
@@ -534,13 +565,15 @@ _LOADED_MODULES = (
     [
         ("validate", "cli errors graph4"),
         ("profile", "cli errors graph4 profile"),
+        ("profile --engine both", "cli errors euler gf2 graph4 interlace profile"),
         ("orbit", "cli errors euler gf2 graph4 profile"),
     ],
 )
 def test_command_loads_only_its_layers(g4_file, command, layers):
     # a fresh interpreter: each command imports only the layers it runs
+    name, *flags = command.split()
     proc = subprocess.run(
-        [sys.executable, "-c", _LOADED_MODULES, command, g4_file],
+        [sys.executable, "-c", _LOADED_MODULES, name, g4_file, *flags],
         capture_output=True,
         text=True,
     )

@@ -27,7 +27,7 @@ from interlacement import (
 from interlacement import interlace as interlace_module
 from interlacement import profile as profile_module
 from interlacement.cli import format_graph
-from interlacement.profile import _frontier_plan, _state_bound
+from interlacement.profile import _frontier_plan, _nullity_states, _state_bound
 from conftest import corpus, graph_disconnected, graph_two_loops
 from oracles import circuit_count
 
@@ -201,17 +201,51 @@ def test_guard():
     g = random_matching_graph(7, seed=0)
     with pytest.raises(TooLarge):
         profile_by_tracing(g, max_vertices=6)
-    with pytest.raises(TooLarge):
-        profile_by_nullity(g, max_vertices=6)
-    # the frontier guard is the largest (w - 1)!! over the order's
-    # frontier widths w, refused before the first state exists
+    # the state guard of the frontier and nullity engines is the largest
+    # (w - 1)!! over the order's frontier widths w, refused before the
+    # first state exists
     steps = _frontier_plan(g)
     bound = _state_bound(steps)
     widest = max(s.width for s in steps)
     assert bound == _double_factorial(widest - 1) > 1
-    with pytest.raises(TooLarge, match=f"up to {bound} states"):
-        profile_by_frontier(g, max_states=bound - 1)
-    assert profile_by_frontier(g, max_states=bound).total() == 3 ** 7
+    for engine in (profile_by_frontier, profile_by_nullity):
+        with pytest.raises(TooLarge, match=f"up to {bound} states"):
+            engine(g, max_states=bound - 1)
+        assert engine(g, max_states=bound).total() == 3 ** 7
+
+
+@pytest.mark.parametrize(
+    "g",
+    corpus(8)
+    + [
+        pytest.param(
+            random_matching_graph(n, seed=s, connected=connected),
+            id=f"random-n{n}-s{s}-{'conn' if connected else 'any'}",
+        )
+        for n in range(9, 17)
+        for s in (0, 1)
+        for connected in (False, True)
+    ],
+    ids=lambda g: "-".join(g.vertices),
+)
+def test_nullity_states_within_pairing_bound(g):
+    # the nullity engine never holds more states at a step than the
+    # (w - 1)!! frontier pairings its guard admits
+    steps = _frontier_plan(g)
+    layers = list(_nullity_states(g, hierholzer(g), steps))
+    assert len(layers) == len(steps) == g.n
+    for step, states in zip(steps, layers):
+        assert 1 <= len(states) <= _double_factorial(step.width - 1)
+    assert len(layers[-1]) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_nullity_matches_frontier_at_n20(seed):
+    # past the tracer's reach the two state engines check each other
+    g = random_matching_graph(20, seed=seed, connected=True)
+    by_rank = profile_by_nullity(g)
+    assert by_rank.coefficients == profile_by_frontier(g).coefficients
+    assert by_rank.total() == 3 ** 20
 
 
 def _double_factorial(k):
@@ -223,16 +257,6 @@ def test_tracer_logs_progress(monkeypatch, caplog):
     monkeypatch.setattr(profile_module, "_PROGRESS_EVERY", 2187)
     with caplog.at_level(logging.INFO, logger=profile_module.__name__):
         profile_by_tracing(random_matching_graph(8, seed=5))
-    assert caplog.messages == [
-        f"profile: {k} transition systems processed" for k in (2187, 4374, 6561)
-    ]
-
-
-def test_nullity_logs_progress(monkeypatch, caplog):
-    # the same lines as the tracer: 3^8 leaves, one per 3^7
-    monkeypatch.setattr(profile_module, "_PROGRESS_EVERY", 2187)
-    with caplog.at_level(logging.INFO, logger=profile_module.__name__):
-        profile_by_nullity(random_matching_graph(8, seed=5))
     assert caplog.messages == [
         f"profile: {k} transition systems processed" for k in (2187, 4374, 6561)
     ]

@@ -370,8 +370,8 @@ def test_vertex_table_sweeps_on_open_orbit(monkeypatch):
 
 def test_exhaustive_builds_table_once(monkeypatch):
     # the run's table builds each M(c, ts) once for all the properties
-    # that read it; inverse builds two matrices per pair, core-kernel
-    # equality and circuit nullity one per ts
+    # that read it, the inverse pair included; core-kernel equality and
+    # circuit nullity build one per ts
     calls = []
     real = interlace.modified_interlacement_matrix
 
@@ -383,7 +383,30 @@ def test_exhaustive_builds_table_once(monkeypatch):
     g = graph_four_parallel()
     assert run_exhaustive(g).passed
     size, points = 6, 3 ** g.n
-    assert len(calls) == size * points + 2 * size ** 2 + 2 * points
+    assert len(calls) == size * points + 2 * points
+
+
+def test_inverse_table_matches_per_point():
+    for g in corpus(4):
+        table = sweep_property(g, hierholzer(g), "inverse")
+        assert outcome_of(table) == outcome_of(per_point(g, "inverse"))
+        assert table.ok
+
+
+def test_inverse_table_negative_control(monkeypatch):
+    # one flipped entry M(c, c2.ts) fails the pair (c, c2), where it is
+    # the left factor, and (c2, c), where it is the right one
+    g = graph_four_parallel()
+    orbit = kotzig_orbit(g, hierholzer(g))
+    target = (orbit[-1].ts, orbit[0].ts)
+    plant(monkeypatch, "modified_interlacement_matrix", plant_entry(target))
+    table = sweep_property(g, hierholzer(g), "inverse")
+    assert outcome_of(table) == outcome_of(per_point(g, "inverse"))
+    assert (table.checks, len(table.failures)) == (36, 2)
+    assert table.failures[0].startswith(
+        f"euler=[{verify._fmt_ts(g, orbit[0].ts)}] "
+        f"euler2=[{verify._fmt_ts(g, orbit[-1].ts)}] product="
+    )
 
 
 def test_naturality_table_negative_control(monkeypatch):
