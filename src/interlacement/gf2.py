@@ -48,10 +48,15 @@ class GF2Vector:
     bits: int
 
     def __post_init__(self):
-        if self.n < 0 or self.bits < 0 or self.bits >> self.n:
+        try:
+            if self.n < 0 or self.bits < 0 or self.bits >> self.n:
+                raise DimensionMismatch(
+                    f"value {self.bits:#x} does not fit in {self.n} coordinates"
+                )
+        except TypeError:
             raise DimensionMismatch(
-                f"value {self.bits:#x} does not fit in {self.n} coordinates"
-            )
+                f"length {self.n!r} and value {self.bits!r} must be ints"
+            ) from None
 
     @classmethod
     def zero(cls, n: int) -> "GF2Vector":
@@ -104,15 +109,22 @@ class GF2Matrix:
                 raise DimensionMismatch(
                     f"{self.rows!r} is not a sequence of rows"
                 ) from None
-        if self.nrows < 0 or self.ncols < 0 or len(self.rows) != self.nrows:
-            raise DimensionMismatch(
-                f"{len(self.rows)} rows supplied for a {self.nrows}x{self.ncols} matrix"
-            )
-        for r in self.rows:
-            if r < 0 or r >> self.ncols:
+        try:
+            if self.nrows < 0 or self.ncols < 0 or len(self.rows) != self.nrows:
                 raise DimensionMismatch(
-                    f"row {r:#x} does not fit in {self.ncols} columns"
+                    f"{len(self.rows)} rows supplied for a "
+                    f"{self.nrows}x{self.ncols} matrix"
                 )
+            for r in self.rows:
+                if r < 0 or r >> self.ncols:
+                    raise DimensionMismatch(
+                        f"row {r:#x} does not fit in {self.ncols} columns"
+                    )
+        except TypeError:
+            raise DimensionMismatch(
+                f"shape {self.nrows!r}x{self.ncols!r} and rows {self.rows!r} "
+                "must be ints"
+            ) from None
 
     @classmethod
     def identity(cls, n: int) -> "GF2Matrix":

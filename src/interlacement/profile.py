@@ -11,18 +11,20 @@ compute it:
   leave the opened vertices, a histogram of the circuits already
   closed: the transfer-matrix method of Sekine, Imai and Tani applied
   to Jaeger's transition polynomial.  Its cost grows with the frontier
-  width, not with n;
+  width, not with n.  Its plan, fixed before any state exists, is the
+  vertex order and the frontier after each step;
 * the tracing engine walks the 3^n systems depth first, fixing the
   vertices' transitions in index order; each transition joins the
   open paths at its slots and counts the circuits that close, and the
-  walk undoes its joins on the way back;
+  walk undoes its joins on the way back.  The frontier engine joins
+  paths the same way; the two share only the table of slot couples;
 * the nullity engine reads each circuit count off the kernel dimension
   of M(c, P) for one Euler system c.  It opens the vertices in the
   frontier engine's order and merges the partial label choices whose
   columns meet the columns still to come in the same subspace: a
   dynamic program over cut-rank states, which the frontier engine's
-  pairing bound guards.  It shares only that order and bound with the
-  frontier engine.  It is pure Python.
+  pairing bound guards.  It shares only that plan and its bound with
+  the frontier engine.  It is pure Python.
 
 The tracing engine is the 3^n oracle the two state engines are checked
 against; at sizes past its reach they check each other.
@@ -62,6 +64,11 @@ DEFAULT_STATE_GUARD = 135_135
 
 _PROGRESS_EVERY = 1 << 20
 
+# each transition code's two slot couples (a, b, c, d): a with b, c with d
+_COUPLES = tuple(
+    (0, p[0], *(s for s in range(1, 4) if s != p[0])) for p in PARTNER_BY_CODE
+)
+
 
 @dataclass(frozen=True)
 class PartitionProfile:
@@ -99,26 +106,15 @@ class PartitionProfile:
 
 
 class _Step(NamedTuple):
-    """How opening one vertex, ``vertex``, changes the frontier.
+    """Opening one vertex, ``vertex``, and the frontier it leaves.
 
-    Frontier edges are named by their dangling half-edge, the end at a
-    vertex not yet opened, and listed in a fixed order per step; a state
-    is a tuple giving each frontier position the position of its mate.
-    The vertex's slots are nodes 0..3 and the position p of the next
-    frontier is node p + 4.  ``ext[s]`` is the node slot s reaches by
-    its own edge (a loop partner or a new frontier edge), or -1 when the
-    edge is an old frontier edge at position ``i`` for a pair (s, i) in
-    ``taken``.  ``remap[i]`` is the node of old position i: its slot if
-    the edge ends at the vertex, its next position + 4 otherwise.
-    ``kept`` pairs each surviving old position with its next position.
+    ``frontier`` is the sorted tuple of the dangling half-edges: the
+    ends, at vertices not yet opened, of the edges that leave the opened
+    vertices.
     """
 
     vertex: int
-    ext: Tuple[int, ...]
-    taken: Tuple[Tuple[int, int], ...]
-    remap: Tuple[int, ...]
-    kept: Tuple[Tuple[int, int], ...]
-    width: int
+    frontier: Tuple[int, ...]
 
 
 def _frontier_plan(g: Graph4R) -> List[_Step]:
@@ -136,7 +132,7 @@ def _frontier_plan(g: Graph4R) -> List[_Step]:
         for v in range(n)
     ]
     opened = [False] * n
-    frontier: List[int] = []
+    frontier: Tuple[int, ...] = ()
     steps = []
     for _ in range(n):
         v = min(
@@ -144,47 +140,20 @@ def _frontier_plan(g: Graph4R) -> List[_Step]:
             key=lambda u: (delta[u], u),
         )
         opened[v] = True
-        old_pos = {h: i for i, h in enumerate(frontier)}
-        survivors = [h for h in frontier if h >> 2 != v]
-        new_edges = [
+        # the new dangling ends: v's edges to unopened vertices
+        dangling = [
             other[h] for h in range(4 * v, 4 * v + 4) if not opened[other[h] >> 2]
         ]
-        nxt = survivors + new_edges
-        new_pos = {h: i for i, h in enumerate(nxt)}
-        ext = []
-        taken = []
-        for s in range(4):
-            h = 4 * v + s
-            if h in old_pos:
-                ext.append(-1)
-                taken.append((s, old_pos[h]))
-            elif other[h] >> 2 == v:
-                ext.append(other[h] & 3)
-            else:
-                ext.append(new_pos[other[h]] + 4)
-        steps.append(
-            _Step(
-                vertex=v,
-                ext=tuple(ext),
-                taken=tuple(taken),
-                remap=tuple(
-                    h & 3 if h >> 2 == v else new_pos[h] + 4 for h in frontier
-                ),
-                kept=tuple((old_pos[h], new_pos[h]) for h in survivors),
-                width=len(nxt),
-            )
-        )
-        for h in range(4 * v, 4 * v + 4):
-            u = other[h] >> 2
-            if not opened[u]:
-                delta[u] -= 2
-        frontier = nxt
+        for h in dangling:
+            delta[h >> 2] -= 2
+        frontier = tuple(sorted([h for h in frontier if h >> 2 != v] + dangling))
+        steps.append(_Step(v, frontier))
     return steps
 
 
 def _state_bound(steps: List[_Step]) -> int:
     """Most states any step can hold: (w - 1)!! pairings of w edges."""
-    return max(math.prod(range(s.width - 1, 0, -2)) for s in steps)
+    return max(math.prod(range(len(s.frontier) - 1, 0, -2)) for s in steps)
 
 
 def _guarded_plan(g: Graph4R, max_states: int, engine: str) -> List[_Step]:
@@ -217,46 +186,19 @@ def _unpack(packed: int, field: int, fields: int) -> Dict[int, int]:
     }
 
 
-def _join(ext: List[int], partner: Tuple[int, ...], mates: List[int]) -> int:
-    """Couple the slots by ``partner``, pair up in ``mates`` the frontier
-    positions the resulting paths connect, and return how many circuits
-    close (cycles through slots only)."""
-    seen = 0
-    for s in range(4):
-        x = ext[s]
-        if x >= 4 and not seen >> s & 1:
-            cur = s
-            while True:
-                j = partner[cur]
-                seen |= 1 << cur | 1 << j
-                y = ext[j]
-                if y >= 4:
-                    break
-                cur = y
-            mates[x - 4] = y - 4
-            mates[y - 4] = x - 4
-    closed = 0
-    for s in range(4):
-        if not seen >> s & 1:
-            closed += 1
-            cur = s
-            while not seen >> cur & 1:
-                j = partner[cur]
-                seen |= 1 << cur | 1 << j
-                cur = ext[j]
-    return closed
-
-
 def profile_by_frontier(
     g: Graph4R, *, max_states: int = DEFAULT_STATE_GUARD
 ) -> PartitionProfile:
     """Profile computed by a dynamic program over the frontier pairings.
 
     Vertices are opened one at a time.  A state is the perfect matching
-    that the partial circuits induce on the frontier edges, and it
-    carries a histogram {closed circuits: number of partial transition
-    systems}.  Opening a vertex tries its 3 transitions on every state;
-    a circuit closes when a transition joins two ends of one path.
+    that the partial circuits induce on the frontier: the tuple giving
+    each frontier half-edge, in order, the far end of the open path
+    that ends there.  It carries a histogram {closed circuits: number
+    of partial transition systems}.  Opening a vertex tries its 3
+    transitions on every state: each joins its two slot couples as the
+    tracer does, and a circuit closes when a couple joins two ends of
+    one path.  The next state is read off the next frontier.
 
     Raises:
         TooLarge: the order's frontier admits more than ``max_states``
@@ -264,24 +206,32 @@ def profile_by_frontier(
     """
     steps = _guarded_plan(g, max_states, "frontier")
     field = _field(g)
+    # end[h]: the far end of the open path that ends at half-edge h.  A
+    # half-edge no path has reached yet ends at the other end of its
+    # edge; each state writes the entries of its frontier, and each
+    # transition's joins are undone once its key is read
+    end = dict(enumerate(g.other_end_table))
+    frontier: Tuple[int, ...] = ()
     states: Dict[Tuple[int, ...], int] = {(): 1}
-    for step in steps:
+    for v, nxt_frontier in steps:
+        quads = [
+            (4 * v + a, 4 * v + b, 4 * v + c, 4 * v + d) for a, b, c, d in _COUPLES
+        ]
         nxt: Dict[Tuple[int, ...], int] = {}
-        for mates, hist in states.items():
-            ext = list(step.ext)
-            for s, i in step.taken:
-                ext[s] = step.remap[mates[i]]
-            base = [0] * step.width
-            for i, j in step.kept:
-                m = step.remap[mates[i]]
-                if m >= 4:
-                    base[j] = m - 4
-            for partner in PARTNER_BY_CODE:
-                new = base.copy()
-                closed = _join(ext, partner, new)
-                key = tuple(new)
+        for ends, hist in states.items():
+            end.update(zip(frontier, ends))
+            for a, b, c, d in quads:
+                x, y = end[a], end[b]
+                end[x], end[y] = y, x
+                z, w = end[c], end[d]
+                end[z], end[w] = w, z
+                key = tuple(map(end.__getitem__, nxt_frontier))
+                closed = (x == b) + (z == d)
                 nxt[key] = nxt.get(key, 0) + (hist << closed * field)
+                end[z], end[w] = c, d
+                end[x], end[y] = a, b
         states = nxt
+        frontier = nxt_frontier
     (packed,) = states.values()
     profile = PartitionProfile(_unpack(packed, field, 2 * g.n + 1), g.n, g.c)
     profile.validate()
@@ -309,13 +259,8 @@ def _circuit_histogram(g: Graph4R) -> Dict[int, int]:
     """
     n = g.n
     end = list(g.other_end_table)
-    # each transition as its two slot couples (a, b) and (c, d)
-    couples = []
-    for partner in PARTNER_BY_CODE:
-        c = min(s for s in range(1, 4) if s != partner[0])
-        couples.append((0, partner[0], c, partner[c]))
     quads = [
-        [(4 * v + a, 4 * v + b, 4 * v + c, 4 * v + d) for a, b, c, d in couples]
+        [(4 * v + a, 4 * v + b, 4 * v + c, 4 * v + d) for a, b, c, d in _COUPLES]
         for v in range(n)
     ]
     hist = [0] * (2 * n + 1)
@@ -351,7 +296,8 @@ def profile_by_tracing(
 
     A depth-first walk fixes one vertex's transition per level and
     counts the circuits it closes; each of the 3^n leaves is one
-    transition system.  It shares no code with the other engines.
+    transition system.  It shares only the table of slot couples with
+    the frontier engine, and no code with the nullity engine.
 
     Raises:
         TooLarge: the graph exceeds the enumeration guard.

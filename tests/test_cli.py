@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from interlacement import ParseError, PartitionProfile, hierholzer
 from interlacement import profile_by_tracing, random_matching_graph
+from interlacement import profile as profile_module
 from interlacement.cli import (
     format_graph,
     format_transitions,
@@ -413,6 +414,19 @@ def test_profile_both_engines(capsys, g4_file):
     code, out, err = run_cli(capsys, "profile", g4_file, "--engine", "both")
     assert code == 0
     assert out == "1:6 2:3\nengines agree\n"
+
+
+def test_profile_both_engines_disagree(capsys, monkeypatch, g4_file):
+    # a defect planted in the frontier engine alone (two transitions
+    # that couple the same slots) is caught by the nullity engine
+    couples = profile_module._COUPLES
+    monkeypatch.setattr(
+        profile_module, "_COUPLES", (couples[0], couples[0], couples[2])
+    )
+    code, out, err = run_cli(capsys, "profile", g4_file, "--engine", "both")
+    assert code == 2
+    assert out == "1:4 2:5\n"
+    assert err == "engines disagree:\n  frontier: 1:4 2:5\n  nullity:  1:6 2:3\n"
 
 
 def test_profile_nullity_engine(capsys, g4_file):

@@ -64,6 +64,12 @@ def test_vector_basics():
     assert v + GF2Vector.unit(4, 1) == GF2Vector(4, 0b1111)
 
 
+def test_vector_rejects_non_int():
+    for n, bits in ((2, 1.5), (2, "1"), (None, 1)):
+        with pytest.raises(DimensionMismatch, match="must be ints"):
+            GF2Vector(n, bits)
+
+
 def test_vector_unit_out_of_range():
     with pytest.raises(IndexOutOfRange):
         GF2Vector.unit(3, 3)
@@ -85,6 +91,10 @@ def test_matrix_rows_stored_as_tuple():
     for bad in (5, None):
         with pytest.raises(DimensionMismatch, match="not a sequence of rows"):
             GF2Matrix(1, 2, bad)
+    # rows that are not ints are typed errors, not a TypeError
+    for bad in ((1.0,), ("a",), (None,)):
+        with pytest.raises(DimensionMismatch, match="must be ints"):
+            GF2Matrix(1, 1, bad)
 
 
 def test_matmul_against_naive():

@@ -206,7 +206,7 @@ def test_guard():
     # first state exists
     steps = _frontier_plan(g)
     bound = _state_bound(steps)
-    widest = max(s.width for s in steps)
+    widest = max(len(s.frontier) for s in steps)
     assert bound == _double_factorial(widest - 1) > 1
     for engine in (profile_by_frontier, profile_by_nullity):
         with pytest.raises(TooLarge, match=f"up to {bound} states"):
@@ -235,17 +235,37 @@ def test_nullity_states_within_pairing_bound(g):
     layers = list(_nullity_states(g, hierholzer(g), steps))
     assert len(layers) == len(steps) == g.n
     for step, states in zip(steps, layers):
-        assert 1 <= len(states) <= _double_factorial(step.width - 1)
+        assert 1 <= len(states) <= _double_factorial(len(step.frontier) - 1)
     assert len(layers[-1]) == 1
+    # each frontier is exactly the half-edges at unopened vertices whose
+    # edges lead to opened vertices, sorted; the last one is empty
+    other = g.other_end_table
+    opened = set()
+    for step in steps:
+        opened.add(step.vertex)
+        dangling = tuple(
+            h
+            for h in range(4 * g.n)
+            if h >> 2 not in opened and other[h] >> 2 in opened
+        )
+        assert step.frontier == dangling
+    assert steps[-1].frontier == ()
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_nullity_matches_frontier_at_n20(seed):
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(random_matching_graph(20, seed=s, connected=True), id=str(s))
+        for s in (0, 1, 2)
+    ]
+    # components of 20 and 2 vertices
+    + [pytest.param(random_matching_graph(22, seed=0), id="n22-s0")],
+)
+def test_nullity_matches_frontier_at_n20(g):
     # past the tracer's reach the two state engines check each other
-    g = random_matching_graph(20, seed=seed, connected=True)
     by_rank = profile_by_nullity(g)
     assert by_rank.coefficients == profile_by_frontier(g).coefficients
-    assert by_rank.total() == 3 ** 20
+    assert by_rank.total() == 3 ** g.n
 
 
 def _double_factorial(k):
