@@ -10,6 +10,7 @@ nothing involves a tolerance.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -110,13 +111,15 @@ class GF2Matrix:
                     f"{self.rows!r} is not a sequence of rows"
                 ) from None
         try:
-            if self.nrows < 0 or self.ncols < 0 or len(self.rows) != self.nrows:
+            # operator.index refuses a float or other non-integral shape
+            nrows, ncols = operator.index(self.nrows), operator.index(self.ncols)
+            if nrows < 0 or ncols < 0 or len(self.rows) != nrows:
                 raise DimensionMismatch(
                     f"{len(self.rows)} rows supplied for a "
                     f"{self.nrows}x{self.ncols} matrix"
                 )
             for r in self.rows:
-                if r < 0 or r >> self.ncols:
+                if r < 0 or r >> ncols:
                     raise DimensionMismatch(
                         f"row {r:#x} does not fit in {self.ncols} columns"
                     )

@@ -182,7 +182,7 @@ def modified_interlacement_matrix(c: EulerSystem, ts: TransitionSystem) -> GF2Ma
         )
     phi, psi = _label_masks(c, ts)
     diag = phi | psi
-    rows = interlacement_graph(c).rows
+    rows = c.interlacement_rows
     return GF2Matrix(
         g.n, g.n, tuple(r & ~phi | diag & 1 << v for v, r in enumerate(rows))
     )
@@ -200,7 +200,7 @@ def modified_local_complement(m: GF2Matrix, c: EulerSystem, v) -> GF2Matrix:
     vi = c.graph.vertex_index(v)
     rows = list(m.rows)
     rv = rows[vi]
-    for w in iter_bits(interlacement_graph(c).rows[vi]):
+    for w in iter_bits(c.interlacement_rows[vi]):
         rows[w] ^= rv
     return GF2Matrix(m.nrows, m.ncols, tuple(rows))
 
@@ -266,7 +266,11 @@ _SWAP_AT_NBR = {
 def _exchanged_labels(c: EulerSystem, v, before: Dict) -> Dict:
     """The labels wrt kappa(c, v) that the exchange rules predict from
     ``before``, the labels of the same transitions wrt ``c``."""
-    neighbors = set(interlacement_graph(c).neighbors(v))
+    vertices = c.graph.vertices
+    neighbors = {
+        vertices[w]
+        for w in iter_bits(c.interlacement_rows[c.graph.vertex_index(v)])
+    }
     expected = {}
     for w, lab in before.items():
         if w == v:
@@ -306,43 +310,12 @@ def check_naturality(
 ) -> CheckResult:
     """Change of Euler system factors through multiplication:
     matrix(c2, ts) = matrix(c2, c.ts) @ matrix(c, ts), with the change
-    of basis matrix(c2, c.ts) nonsingular.
-
-    Builds the three matrices of one point.  The exhaustive sweep in
-    ``verify`` reads them from one table per run instead and decides each
-    (c, c2) pair column by column: each column of M(c, ts) is the same
-    column of M(c, P_t), P_t the constant system with ts's code there,
-    and a left multiplication acts on each column alone, so the pair
-    holds at every ts once it holds at the three P_t.  Every point of a
-    pair that column test does not prove goes through
-    ``_naturality_result``, the comparison this check makes.
-    """
+    of basis matrix(c2, c.ts) nonsingular."""
     m_change = modified_interlacement_matrix(c2, c.ts)
-    return _naturality_result(
-        c,
-        c2,
-        ts,
-        m_change,
-        rank(m_change) == g.n,
-        modified_interlacement_matrix(c, ts),
-        modified_interlacement_matrix(c2, ts),
-    )
-
-
-def _naturality_result(
-    c: EulerSystem,
-    c2: EulerSystem,
-    ts: TransitionSystem,
-    m_change: GF2Matrix,
-    nonsingular: bool,
-    m_base: GF2Matrix,
-    m_direct: GF2Matrix,
-) -> CheckResult:
-    """The naturality comparison on built matrices: ``m_direct`` =
-    M(c2, ts) against ``m_change`` @ ``m_base`` = M(c2, c.ts) @ M(c, ts),
-    where ``nonsingular`` tells whether ``m_change`` has full rank."""
-    product = mat_mul(m_change, m_base)
-    if nonsingular and product == m_direct:
+    nonsingular = rank(m_change) == g.n
+    product = mat_mul(m_change, modified_interlacement_matrix(c, ts))
+    direct = modified_interlacement_matrix(c2, ts)
+    if nonsingular and product == direct:
         return CheckResult(True)
     return CheckResult(
         False,
@@ -351,33 +324,18 @@ def _naturality_result(
             "euler2": c2.ts,
             "partition": ts,
             "product": product,
-            "direct": m_direct,
+            "direct": direct,
             "nonsingular": nonsingular,
         },
     )
 
 
 def check_inverse(g: Graph4R, c: EulerSystem, c2: EulerSystem) -> CheckResult:
-    """matrix(c, c2.ts) and matrix(c2, c.ts) are mutually inverse.
-
-    Builds both matrices.  The exhaustive sweep in ``verify`` reads them
-    from its table instead and compares them by ``_inverse_result``.
-    """
-    return _inverse_result(
-        g,
-        c,
-        c2,
+    """matrix(c, c2.ts) and matrix(c2, c.ts) are mutually inverse."""
+    product = mat_mul(
         modified_interlacement_matrix(c, c2.ts),
         modified_interlacement_matrix(c2, c.ts),
     )
-
-
-def _inverse_result(
-    g: Graph4R, c: EulerSystem, c2: EulerSystem, a: GF2Matrix, b: GF2Matrix
-) -> CheckResult:
-    """The inverse comparison on built matrices: ``a`` = M(c, c2.ts)
-    times ``b`` = M(c2, c.ts) against the identity."""
-    product = mat_mul(a, b)
     if product == GF2Matrix.identity(g.n):
         return CheckResult(True)
     return CheckResult(False, {"euler": c.ts, "euler2": c2.ts, "product": product})

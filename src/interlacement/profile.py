@@ -330,13 +330,12 @@ def _nullity_states(
     opened vertices lies in W, the span of the A e_u there over the
     unopened u.  After the last step F = 0 and one state is left.
     """
-    # the Euler, interlacement and GF(2) layers are imported here, not
-    # at the top, so that the frontier engine loads the graph model only
+    # the GF(2) layer is imported here, not at the top, so that the
+    # frontier engine loads the graph model only
     from .gf2 import _reduce
-    from .interlace import interlacement_graph
 
     n = g.n
-    adj = interlacement_graph(c).rows
+    adj = c.interlacement_rows
     field = _field(g)
     upper = -1 << n
     states: Dict[Tuple[int, ...], int] = {(): 1}

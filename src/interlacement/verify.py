@@ -10,33 +10,24 @@ configuration per sample and pass it to every property.  All randomness
 comes from one ``random.Random(seed)`` stream, so reports are
 reproducible byte for byte.
 
-Three identities of the exhaustive sweep act column by column:
-naturality, M(c2, ts) = M(c2, c.ts) M(c, ts) over (c, c2, ts); the
-local-complement transform, a row operation on M(c, ts), over
-(c, ts, v); and the label exchange over (c, ts, v).  Column v of M(c, ts)
-depends only on ts's code t at v (it is e_v, A e_v or A e_v + e_v), and
-so does the label at v.  The sweep builds one table per run of M(c, ts)
-and the labels of ts wrt c for every orbit member c and every ts, and
-checks whether every entry of a member is its *column assembly*: column
-v taken from the constant system whose codes are all t.  Per (c, c2), or
-per (c, v), it then compares both sides of the identity at the three
-constant systems only.  When both members' entries are column
-assemblies, the change of basis is nonsingular (naturality only) and
-both sides agree at the three constant systems, the identity holds at
-every ts, and the checks of that pair, or of that member over all its
-(ts, v), count at once.  Every point of any other pair or member goes to
-the per-point check.
+The exhaustive sweep splits the points of a check into *rows*, the
+tuples of its leading orbit axes: (c, c2) for naturality and the inverse
+pair, c for the local-complement transform and the label exchange.  A
+row that its predicate in ``_ROW_PROOFS`` proves from the run's
+``_OrbitTable`` counts all of its points at once; every point of any
+other row goes to the per-point check, so verdicts and witnesses, in
+order, are those of a sweep of one call per point.
 
-That proof needs the other side of each identity to act column by
-column too: ``mat_mul(X, .)`` and ``modified_local_complement(., c, v)``
-must commute with the column assembly, which
+The predicates act column by column.  Column v of M(c, ts), like the
+label at v, depends only on ts's code t at v, so when every entry of a
+member is its *column assembly* (column v taken from the constant
+system whose codes are all t), an identity whose other side also acts
+on each column alone holds at every ts once it holds at the three
+constant systems.  ``mat_mul(X, .)`` and
+``modified_local_complement(., c, v)`` do, which
 ``test_row_operations_commute_with_column_assembly`` pins, and the
-exchange rule reads each vertex's label alone.  Under that condition the
-checks, the verdicts and the witnesses, in order, are those of a sweep
-of one call per point.  The inverse pair reads both its matrices,
-M(c, c2.ts) and M(c2, c.ts), from the same table and compares them as
-``check_inverse`` does.  The other properties, and the local-complement
-transform under ``corrupt``, run one call per point.
+exchange rule reads each vertex's label alone.  The inverse pair reads
+both of its matrices from the table.
 """
 
 from __future__ import annotations
@@ -68,12 +59,9 @@ from .interlace import (
     check_label_exchange,
     check_local_complement_transform,
     check_naturality,
-    interlacement_graph,
     modified_interlacement_matrix,
     modified_local_complement,
     _exchanged_labels,
-    _inverse_result,
-    _naturality_result,
 )
 from .profile import euler_count
 
@@ -233,16 +221,11 @@ class _OrbitTable:
     ``label_transitions(c, ts)`` for every member c of one orbit and every
     ts of ``all_ts``, in ``itertools.product`` order.
 
-    Column v of M(c, ts), like the label at v, depends only on ts's code t
-    there, so it should be column v of M(c, P_t), P_t the constant system
-    with every code t.  The *column assembly* of an entry takes each column
-    from the entry of its code's constant system; ``whole[i]`` tells
-    whether every entry of member i is its column assembly.  Each half is
-    built on first use.  The matrix half keeps every entry, the label half
-    only the three constant entries of each member.
-
-    The builders are read through ``interlace``, where the per-point checks
-    read them, so both routes run the same functions.
+    ``whole[i]`` tells whether every entry of member i is its column
+    assembly.  Each half is built on first use.  The matrix half keeps
+    every entry, the label half only the three constant entries of each
+    member.  The builders are read through ``interlace``, where the
+    per-point checks read them, so both routes run the same functions.
     """
 
     def __init__(self, g: Graph4R, orbit):
@@ -252,6 +235,8 @@ class _OrbitTable:
             map(TransitionSystem, itertools.product((0, 1, 2), repeat=g.n))
         )
         self.index = {c.ts: i for i, c in enumerate(orbit)}
+        # position of each member's own system in all_ts
+        self.own = [_ts_index(c.ts) for c in orbit]
         # masks[k][t]: the vertices where all_ts[k] has code t
         self.masks = [
             tuple(
@@ -314,131 +299,80 @@ class _OrbitTable:
         return constants, whole
 
 
-def _sweep_naturality(outcome: PropertyOutcome, g: Graph4R, table) -> None:
-    """Naturality over the axes (c, c2, ts), decided column by column.
-
-    The change of basis X = M(c2, c.ts) is a table entry, with its rank
-    taken once per pair.  Left multiplication by X acts on each column
-    alone, so when every M(c, ts) and M(c2, ts) is a column assembly,
-    X M(c, ts) = M(c2, ts) holds for every ts as soon as it holds at the
-    three constant systems.  A pair proven so, with X nonsingular, counts
-    its 3^n checks at once; every point of any other pair is decided by
-    ``_naturality_result`` on its table entries.
-    """
+def _naturality_row(table: _OrbitTable, i: int, j: int) -> bool:
+    """Row (c, c2): the change of basis X = M(c2, c.ts) is nonsingular,
+    both members are whole, and X M(c, P_t) = M(c2, P_t) at each t."""
     matrices, whole = table.matrices
-    for i, c in enumerate(table.orbit):
-        k_c = _ts_index(c.ts)
-        for j, c2 in enumerate(table.orbit):
-            m_change = matrices[j][k_c]
-            nonsingular = rank(m_change) == g.n
-            proven = nonsingular and whole[i] and whole[j] and all(
-                mat_mul(m_change, matrices[i][k]) == matrices[j][k]
-                for k in table.constant
-            )
-            if proven:
-                outcome.checks += len(table.all_ts)
-                continue
-            for k, ts in enumerate(table.all_ts):
-                result = _naturality_result(
-                    c, c2, ts, m_change, nonsingular, matrices[i][k], matrices[j][k]
-                )
-                _record(outcome, g, result)
+    m_change = matrices[j][table.own[i]]
+    return (
+        whole[i]
+        and whole[j]
+        and rank(m_change) == table.g.n
+        and all(
+            mat_mul(m_change, matrices[i][k]) == matrices[j][k]
+            for k in table.constant
+        )
+    )
 
 
-def _sweep_inverse(outcome: PropertyOutcome, g: Graph4R, table) -> None:
-    """The inverse pair over the axes (c, c2): M(c, c2.ts) and
-    M(c2, c.ts) are table entries, compared by ``_inverse_result``."""
+def _inverse_row(table: _OrbitTable, i: int, j: int) -> bool:
+    """Row (c, c2), its only point: M(c, c2.ts) M(c2, c.ts) = I."""
     matrices, _ = table.matrices
-    k_ts = [_ts_index(c.ts) for c in table.orbit]
-    for i, c in enumerate(table.orbit):
-        for j, c2 in enumerate(table.orbit):
-            result = _inverse_result(
-                g, c, c2, matrices[i][k_ts[j]], matrices[j][k_ts[i]]
-            )
-            _record(outcome, g, result)
+    product = mat_mul(matrices[i][table.own[j]], matrices[j][table.own[i]])
+    return product == GF2Matrix.identity(table.g.n)
 
 
-def _sweep_by_vertex(outcome, g, table, whole, holds, check) -> None:
-    """``check`` over the axes (c, ts, v), decided column by column.
-
-    ``holds(i, j, v)`` tells whether the identity holds at the three
-    constant systems, where i and j are the orbit indices of c and of
-    kappa(c, v), whose entries ``whole`` flags.  A member c whose every
-    (c, v) is proven so counts its 3^n * n checks at once; every point of
-    any other member, a kappa(c, v) outside the orbit included, is decided
-    by ``check``.
-    """
-    for i, c in enumerate(table.orbit):
-        kappa = [table.index.get(kappa_transform(c, v).ts) for v in g.vertices]
-        if whole[i] and all(
-            j is not None and whole[j] and holds(i, j, v)
-            for v, j in zip(g.vertices, kappa)
-        ):
-            outcome.checks += len(table.all_ts) * g.n
-            continue
-        for ts in table.all_ts:
-            for v in g.vertices:
-                _record(outcome, g, check(g, c, ts, v))
+def _vertex_row(table: _OrbitTable, i: int, whole, holds) -> bool:
+    """Row c = orbit[i] of a check over (c, ts, v): c and each
+    kappa(c, v) = orbit[j] are whole members, and ``holds(j, v)``, the
+    identity at the three constant systems."""
+    c = table.orbit[i]
+    if not whole[i]:
+        return False
+    for v in table.g.vertices:
+        j = table.index.get(kappa_transform(c, v).ts)
+        if j is None or not whole[j] or not holds(j, v):
+            return False
+    return True
 
 
-def _sweep_transform(outcome: PropertyOutcome, g: Graph4R, table) -> None:
-    """The local-complement transform over (c, ts, v), column by column:
-    the row operations at v are a left multiplication, so they too act on
-    each column of M(c, ts) alone."""
+def _transform_row(table: _OrbitTable, i: int) -> bool:
     matrices, whole = table.matrices
+    c = table.orbit[i]
 
-    def holds(i, j, v):
-        c = table.orbit[i]
+    def holds(j, v):
         return all(
             interlace.modified_local_complement(matrices[i][k], c, v)
             == matrices[j][k]
             for k in table.constant
         )
 
-    _sweep_by_vertex(
-        outcome, g, table, whole, holds, check_local_complement_transform
-    )
+    return _vertex_row(table, i, whole, holds)
 
 
-def _sweep_label_exchange(outcome: PropertyOutcome, g: Graph4R, table) -> None:
-    """The label exchange over (c, ts, v), column by column: the rule at
-    each vertex reads the label there alone."""
+def _label_row(table: _OrbitTable, i: int) -> bool:
     constants, whole = table.labels
+    c = table.orbit[i]
 
-    def holds(i, j, v):
-        c = table.orbit[i]
+    def holds(j, v):
         return all(
             _exchanged_labels(c, v, before) == after
             for before, after in zip(constants[i], constants[j])
         )
 
-    _sweep_by_vertex(outcome, g, table, whole, holds, check_label_exchange)
+    return _vertex_row(table, i, whole, holds)
 
 
-# Checks whose exhaustive sweep over their axes reads the run's
-# ``_OrbitTable``: the inverse pair reads its matrices there, the others
-# also prove most points column by column.  Keyed by the function
-# objects in ``PROPERTIES``.
-_TABLE_SWEEPS = {
-    check_naturality: _sweep_naturality,
-    check_inverse: _sweep_inverse,
-    check_local_complement_transform: _sweep_transform,
-    check_label_exchange: _sweep_label_exchange,
+# Row predicates of the exhaustive sweep, keyed by the function objects
+# in ``PROPERTIES``, so that a wrapped check (``_properties(corrupt=True)``)
+# runs point by point.  A predicate takes the table and the row's orbit
+# indices.
+_ROW_PROOFS = {
+    check_naturality: _naturality_row,
+    check_inverse: _inverse_row,
+    check_local_complement_transform: _transform_row,
+    check_label_exchange: _label_row,
 }
-
-
-def _orbit(g: Graph4R, c0: EulerSystem):
-    """The transform orbit of ``c0``, with its interlacement graphs cached.
-
-    The checks' own transforms return equal copies of orbit systems.
-    Caching the orbit's interlacement graphs first keys the cache by the
-    objects swept here, so their lookups match by identity and skip a
-    slower equality test.
-    """
-    orbit = kotzig_orbit(g, c0)
-    for c in orbit:
-        interlacement_graph(c)
-    return orbit
 
 
 def _sweep(g, c0, name, checks, table=None) -> PropertyOutcome:
@@ -451,16 +385,23 @@ def _sweep(g, c0, name, checks, table=None) -> PropertyOutcome:
     """
     outcome = PropertyOutcome(name)
     if table is None and any({"c", "c2"} & set(axes) for _, axes in checks):
-        table = _OrbitTable(g, _orbit(g, c0))
-    orbit = None if table is None else table.orbit
+        table = _OrbitTable(g, kotzig_orbit(g, c0))
+    orbit = () if table is None else table.orbit
     try:
         for check, axes in checks:
-            table_sweep = _TABLE_SWEEPS.get(check)
-            if table_sweep is not None:
-                table_sweep(outcome, g, table)
-                continue
-            for args in _points(g, c0, orbit, axes):
-                _record(outcome, g, check(g, *args))
+            lead = len(list(itertools.takewhile({"c", "c2"}.__contains__, axes)))
+            rest = _points(g, c0, orbit, axes[lead:])
+            if lead:
+                # every row walks the same points
+                rest = list(rest)
+            prove = _ROW_PROOFS.get(check)
+            for row in itertools.product(range(len(orbit)), repeat=lead):
+                if prove is not None and prove(table, *row):
+                    outcome.checks += len(rest)
+                    continue
+                members = [orbit[i] for i in row]
+                for args in rest:
+                    _record(outcome, g, check(g, *members, *args))
     except TooLarge as exc:
         outcome.skipped = str(exc)
     return outcome
@@ -525,9 +466,8 @@ def run_exhaustive(
     """Exhaustive sweep: every property over its full product of axes.
 
     The transform orbit of ``hierholzer(g)`` and its table of matrices
-    and labels are built once and shared by every property; naturality,
-    the inverse pair, the local-complement transform and the label
-    exchange are decided from the table (see the module docstring).
+    and labels are built once and shared by every property, whose rows
+    it proves where it can (see the module docstring).
 
     Raises:
         TooLarge: the number of checks, estimated from ``euler_count``
@@ -542,7 +482,7 @@ def run_exhaustive(
                 f"(limit {_WORK_LIMIT}); use force to run anyway"
             )
     c0 = hierholzer(g)
-    table = _OrbitTable(g, _orbit(g, c0))
+    table = _OrbitTable(g, kotzig_orbit(g, c0))
     properties = _properties(corrupt)
     meta = [
         _graph_line(g),

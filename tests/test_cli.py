@@ -579,7 +579,7 @@ _LOADED_MODULES = (
     [
         ("validate", "cli errors graph4"),
         ("profile", "cli errors graph4 profile"),
-        ("profile --engine both", "cli errors euler gf2 graph4 interlace profile"),
+        ("profile --engine both", "cli errors euler gf2 graph4 profile"),
         ("orbit", "cli errors euler gf2 graph4 profile"),
     ],
 )

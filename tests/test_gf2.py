@@ -95,6 +95,10 @@ def test_matrix_rows_stored_as_tuple():
     for bad in ((1.0,), ("a",), (None,)):
         with pytest.raises(DimensionMismatch, match="must be ints"):
             GF2Matrix(1, 1, bad)
+    # so is a shape that is not an int, even when the rows fit it
+    for shape, rows in (((1.0, 1), (1,)), ((0, 1.0), ())):
+        with pytest.raises(DimensionMismatch, match="must be ints"):
+            GF2Matrix(*shape, rows)
 
 
 def test_matmul_against_naive():

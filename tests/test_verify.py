@@ -380,10 +380,21 @@ def test_exhaustive_builds_table_once(monkeypatch):
         return real(c, ts)
 
     monkeypatch.setattr(interlace, "modified_interlacement_matrix", counted)
+    # likewise each labelling, read by the label exchange alone: a row
+    # that falls back to the per-point check would label it again
+    labels = []
+    real_labels = interlace.label_transitions
+
+    def counted_labels(c, ts):
+        labels.append(ts)
+        return real_labels(c, ts)
+
+    monkeypatch.setattr(interlace, "label_transitions", counted_labels)
     g = graph_four_parallel()
     assert run_exhaustive(g).passed
     size, points = 6, 3 ** g.n
     assert len(calls) == size * points + 2 * points
+    assert len(labels) == size * points
 
 
 def test_inverse_table_matches_per_point():
@@ -431,13 +442,13 @@ def test_naturality_table_negative_control(monkeypatch):
     assert len(table.failures) == 3
 
 
-def test_naturality_needs_nonsingular_change():
-    # the product matches, but a singular change of basis still fails
+def test_naturality_needs_nonsingular_change(monkeypatch):
+    # plant a zero M(c, c.ts): at (c, c, c.ts) the product 0 @ 0 matches
+    # the direct 0, but the singular change of basis still fails
     g = graph_four_parallel()
     c = hierholzer(g)
-    m = interlace.modified_interlacement_matrix(c, c.ts)
-    zero = GF2Matrix(g.n, g.n, (0,) * g.n)
-    result = interlace._naturality_result(c, c, c.ts, zero, False, m, zero)
+    plant(monkeypatch, "modified_interlacement_matrix", plant_entry((c.ts, c.ts), zero))
+    result = interlace.check_naturality(g, c, c, c.ts)
     assert not result
+    assert result.witness["product"] == result.witness["direct"]
     assert result.witness["nonsingular"] is False
-    assert interlace._naturality_result(c, c, c.ts, zero, True, m, zero)
