@@ -67,6 +67,7 @@ _EXPORTS = {
         "kotzig_orbit",
         "label_transitions",
         "orbit_codes",
+        "orbit_keys",
         "transition_for_label",
     ),
     "interlace": (

@@ -410,7 +410,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    from .euler import hierholzer, orbit_codes
+    from .euler import hierholzer, orbit_keys
     from .profile import euler_count
 
     g = _load_graph(args.graphfile)
@@ -419,12 +419,18 @@ def cmd_orbit(args) -> int:
         raise TooLarge(
             f"orbit of {count} Euler systems exceeds the limit of {args.limit}"
         )
-    orbit = orbit_codes(g, hierholzer(g))
-    # each vertex's three possible fields, indexed by transition code
-    fields = [[f"{v}:{t.value}" for t in TRANSITIONS] for v in g.vertices]
-    for codes in orbit:
-        print(" ".join(f[code] for f, code in zip(fields, codes)))
-    print(f"count: {len(orbit)}")
+    keys = orbit_keys(g, hierholzer(g))
+    # each vertex's possible fields, indexed by transition code, with the
+    # shift of its code in a packed key
+    fields = [
+        ([f"{v}:{t.value}" for t in TRANSITIONS], 2 * (g.n - 1 - i))
+        for i, v in enumerate(g.vertices)
+    ]
+    lines = [
+        " ".join([names[(key >> s) & 3] for names, s in fields]) for key in keys
+    ]
+    lines.append(f"count: {len(keys)}\n")
+    sys.stdout.write("\n".join(lines))
     return EXIT_OK
 
 

@@ -49,6 +49,7 @@ __all__ = [
     "label_transitions",
     "transition_for_label",
     "kappa_transform",
+    "orbit_keys",
     "orbit_codes",
     "kotzig_orbit",
     "euler_from_partition",
@@ -291,59 +292,99 @@ def kappa_transform(c: EulerSystem, v) -> EulerSystem:
     return EulerSystem.from_transitions(c.graph, new_ts)
 
 
+def _pack(values) -> int:
+    """Pack per-vertex values of 0..3 into one int, two bits per vertex,
+    vertex 0 most significant, so int order is the order of the tuples."""
+    key = 0
+    for x in values:
+        key = (key << 2) | x
+    return key
+
+
 def _label_exchange(codes, psi, rows, i):
     """Psi codes and interlacement rows after the vertex transform at ``i``.
 
-    ``codes``, ``psi`` and ``rows`` describe an Euler system C by its
-    transition codes, psi codes and interlacement rows.  In kappa_i(C),
-    phi and psi swap at i; at each interlacement neighbour w of i, chi
-    and psi swap, so the new psi code is 3 - phi_w - psi_w; and the rows
-    become the local complement at i.
+    ``codes``, ``psi`` and ``rows`` describe an Euler system C: its
+    transition codes and psi codes packed by :func:`_pack`, and its
+    interlacement rows with each neighbour's bit spread to that
+    neighbour's 2-bit field.  In kappa_i(C), phi and psi swap at i; at
+    each interlacement neighbour w of i, chi and psi swap, so the new psi
+    code is chi_w = 3 - phi_w - psi_w; and the rows become the local
+    complement at i.
     """
+    n = len(rows)
+    field = 3 << 2 * (n - 1 - i)
     nbrs = rows[i]
-    new_psi = list(psi)
-    new_psi[i] = codes[i]
+    # phi + psi <= 3 in every field, so the subtraction borrows nowhere
+    chi = (1 << 2 * n) - 1 - codes - psi
+    new_psi = psi ^ ((psi ^ chi) & nbrs) ^ ((psi ^ codes) & field)
     new_rows = list(rows)
-    for w in iter_bits(nbrs):
-        new_psi[w] = 3 - codes[w] - psi[w]
-        new_rows[w] ^= nbrs & ~(1 << w)
-    return tuple(new_psi), tuple(new_rows)
+    rest = nbrs
+    while rest:
+        low = rest & -rest  # low bit of the field of neighbour w
+        w_field = 3 * low
+        new_rows[n - 1 - (low.bit_length() >> 1)] ^= nbrs ^ w_field
+        rest ^= w_field
+    return new_psi, tuple(new_rows)
 
 
 def _orbit_walk(c: EulerSystem):
-    """(codes, psi codes, interlacement rows) of each orbit member of ``c``.
+    """(codes, psi codes, interlacement rows) of each orbit member of ``c``,
+    packed as :func:`_label_exchange` takes them.
 
     Breadth-first closure over single-vertex transforms by the label
-    exchange (:func:`_label_exchange`); members are deduplicated by their
-    transition codes, and the list starts with ``c``.
+    exchange; members are deduplicated by their packed transition codes,
+    and the list starts with ``c``.
     """
-    start = (c.ts.codes, c.psi_codes, c.interlacement_rows)
+    n = c.graph.n
+    fields = [3 << s for s in range(2 * n - 2, -1, -2)]
+    spread = [
+        sum(fields[w] for w in iter_bits(row)) for row in c.interlacement_rows
+    ]
+    start = (_pack(c.ts.codes), _pack(c.psi_codes), tuple(spread))
     seen = {start[0]}
     states = [start]
     for codes, psi, rows in states:
-        for i, p in enumerate(psi):
-            key = codes[:i] + (p,) + codes[i + 1 :]
+        diff = codes ^ psi
+        for i, field in enumerate(fields):
+            key = codes ^ (diff & field)
             if key not in seen:
                 seen.add(key)
                 states.append((key, *_label_exchange(codes, psi, rows, i)))
     return states
 
 
-def orbit_codes(g: Graph4R, c: EulerSystem) -> Tuple[Tuple[int, ...], ...]:
-    """Transition codes of every Euler system reachable from ``c`` by
-    vertex transforms, sorted.
+def orbit_keys(g: Graph4R, c: EulerSystem) -> List[int]:
+    """Packed transition codes of every Euler system reachable from ``c``
+    by vertex transforms, sorted.
 
-    The walk starts from the codes, psi codes and interlacement rows of
-    ``c`` and applies the label-exchange rules, so it traces no circuit
-    and builds no ``EulerSystem``.  The orbit has no size guard of its
-    own: compare ``euler_count(g)`` with a limit before walking it.
+    Each key holds the code of vertex i in bits 2(n - 1 - i) and
+    2(n - 1 - i) + 1, so ``(key >> 2 * (n - 1 - i)) & 3`` is that code
+    and the keys sort as the code tuples do.  The walk starts from the
+    codes, psi codes and interlacement rows of ``c`` and applies the
+    label-exchange rules, so it traces no circuit and builds no
+    ``EulerSystem``.  The orbit has no size guard of its own: compare
+    ``euler_count(g)`` with a limit before walking it.
 
     Raises:
         GraphMismatch: ``c`` is an Euler system of another graph.
     """
     if c.graph != g:
         raise GraphMismatch("Euler system belongs to a different graph")
-    return tuple(sorted(codes for codes, _, _ in _orbit_walk(c)))
+    return sorted(codes for codes, _, _ in _orbit_walk(c))
+
+
+def orbit_codes(g: Graph4R, c: EulerSystem) -> Tuple[Tuple[int, ...], ...]:
+    """Transition codes of every Euler system reachable from ``c`` by
+    vertex transforms, sorted: the keys of :func:`orbit_keys`, unpacked.
+
+    Raises:
+        GraphMismatch: ``c`` is an Euler system of another graph.
+    """
+    shifts = range(2 * g.n - 2, -1, -2)
+    return tuple(
+        tuple((key >> s) & 3 for s in shifts) for key in orbit_keys(g, c)
+    )
 
 
 def kotzig_orbit(g: Graph4R, c: EulerSystem):

@@ -134,31 +134,6 @@ class GF2Matrix:
         return cls(n, n, tuple(1 << i for i in range(n)))
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "GF2Matrix":
-        """Build a matrix from an iterable of 0/1 row iterables.
-
-        Args:
-            rows: rows listed top to bottom, entries left to right.
-
-        Returns:
-            The matrix; an empty iterable gives a 0x0 matrix.
-        """
-        packed: List[int] = []
-        ncols = None
-        for row in rows:
-            vals = list(row)
-            if ncols is None:
-                ncols = len(vals)
-            elif len(vals) != ncols:
-                raise DimensionMismatch("rows have differing lengths")
-            bits = 0
-            for j, v in enumerate(vals):
-                if v & 1:
-                    bits |= 1 << j
-            packed.append(bits)
-        return cls(len(packed), ncols or 0, tuple(packed))
-
-    @classmethod
     def from_row_bits(cls, bits: Iterable[int], ncols: int) -> "GF2Matrix":
         rs = tuple(bits)
         return cls(len(rs), ncols, rs)

@@ -331,10 +331,6 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.crossings)
 
-    def vertex_indices(self) -> Tuple[int, ...]:
-        """Vertex index under each crossing, in traversal order."""
-        return tuple(h >> 2 for h, _ in self.crossings)
-
 
 @dataclass(frozen=True, eq=False)
 class CircuitPartition:

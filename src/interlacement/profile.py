@@ -53,9 +53,10 @@ __all__ = [
     "euler_count",
 ]
 
-# vertex guard of the tracer, the one 3^n engine; 3^20 is about 3.5e9
-# systems
-DEFAULT_ENUMERATION_GUARD = 20
+# vertex guard of the tracer, the one 3^n engine, whose cost is exactly
+# 3^n leaves: at 0.46-0.49 us per leaf (n = 11-13, 2-vCPU x86 host),
+# 3^16 (43M) takes about 20 s, where 3^20 would take about 28 min
+DEFAULT_ENUMERATION_GUARD = 16
 
 # (w - 1)!! pairings of w frontier edges, the state guard of the
 # frontier and nullity engines; 13!! admits frontiers of up to 14
@@ -85,16 +86,24 @@ class PartitionProfile:
         return tuple(sorted(self.coefficients.items()))
 
     def validate(self) -> None:
-        """Structural sanity: totals, and the reachable range of counts.
+        """Structural sanity: totals, the value at -2, and the reachable
+        range of counts.
+
+        The profile polynomial p(x) = sum of a_k x^k is 3^n at x = 1 and
+        0 at x = -2.  Fix every transition but one vertex's: the rest
+        pairs that vertex's four slots by two open paths, one of its
+        three transitions closes them into two circuits and the other
+        two into one, and x^2 + 2x vanishes at x = -2.
 
         Raises:
-            InvalidProfile: the coefficients do not total 3^n, the
-                smallest count is not c, the largest exceeds c + n, or a
-                coefficient is below 1.
+            InvalidProfile: the coefficients do not total 3^n, p(-2) is
+                not 0, the smallest count is not c, the largest exceeds
+                c + n, or a coefficient is below 1.
         """
         n, c, counts = self.n_vertices, self.c_components, self.coefficients
         if not (
             self.total() == 3 ** n
+            and sum(a * (-2) ** k for k, a in counts.items()) == 0
             and min(counts) == c
             and max(counts) <= c + n
             and all(v > 0 for v in counts.values())

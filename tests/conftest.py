@@ -3,6 +3,7 @@ import os
 import pytest
 
 from interlacement import (
+    GF2Matrix,
     Graph4R,
     HalfEdge,
     build_graph,
@@ -15,6 +16,19 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [_SRC, os.environ.get("PYTHONPATH")])
 )
+
+
+def matrix_from_rows(rows) -> GF2Matrix:
+    """GF(2) matrix of 0/1 rows listed top to bottom, entries left to right."""
+    rows = [list(row) for row in rows]
+    bits = tuple(sum(x << j for j, x in enumerate(row)) for row in rows)
+    return GF2Matrix(len(rows), len(rows[0]) if rows else 0, bits)
+
+
+def vertex_indices(circuit):
+    """Vertex index under each crossing of ``circuit``, in traversal order."""
+    return tuple(h >> 2 for h, _ in circuit.crossings)
+
 
 # one summary line per acceptance gate, printed after the run;
 # populated by test_acceptance.py
@@ -98,6 +112,16 @@ def corpus(max_n: int):
         for seed in range(seeds_by_n.get(n, 0)):
             graphs.append(random_matching_graph(n, seed=seed))
     return graphs
+
+
+def two_component_graphs():
+    # the 11 two-component graphs among seeds 0..39 for n = 4..8
+    graphs = [
+        random_matching_graph(n, seed=seed)
+        for n in range(4, 9)
+        for seed in range(40)
+    ]
+    return [g for g in graphs if g.c == 2]
 
 
 @pytest.fixture

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interlacement import ParseError, PartitionProfile, hierholzer
+from interlacement import TRANSITIONS, ParseError, PartitionProfile, hierholzer
+from interlacement import TooLarge, orbit_codes
 from interlacement import profile_by_tracing, random_matching_graph
 from interlacement import profile as profile_module
 from interlacement.cli import (
@@ -18,7 +19,11 @@ from interlacement.cli import (
     parse_graph,
     parse_transitions,
 )
-from conftest import graph_four_parallel, graph_loop_plus_parallel
+from conftest import (
+    graph_four_parallel,
+    graph_loop_plus_parallel,
+    two_component_graphs,
+)
 
 G4PAR = """\
 # four parallel edges
@@ -310,10 +315,47 @@ def test_orbit_limit_guard(capsys, monkeypatch, g4_file):
     def no_orbit(g, c):
         raise AssertionError("orbit walked before the limit check")
 
-    monkeypatch.setattr("interlacement.euler.orbit_codes", no_orbit)
+    monkeypatch.setattr("interlacement.euler.orbit_keys", no_orbit)
     code, out, err = run_cli(capsys, "orbit", g4_file, "--limit", "3")
     assert code == 3 and out == ""
     assert err == "guard: orbit of 6 Euler systems exceeds the limit of 3\n"
+
+
+@pytest.mark.parametrize(
+    "g",
+    [random_matching_graph(n, seed=s) for n in range(1, 10) for s in range(3)]
+    + two_component_graphs(),
+    ids=lambda g: f"n{g.n}-c{g.c}",
+)
+def test_orbit_output_renders_orbit_codes(capsys, tmp_path, g):
+    # the listing from packed keys is byte for byte one line per member of
+    # orbit_codes, each transition written out, then the count
+    p = tmp_path / "g.graph"
+    p.write_text(format_graph(g))
+    codes = orbit_codes(g, hierholzer(g))
+    expected = "".join(
+        " ".join(f"{v}:{TRANSITIONS[x].value}" for v, x in zip(g.vertices, member))
+        + "\n"
+        for member in codes
+    ) + f"count: {len(codes)}\n"
+    code, out, err = run_cli(capsys, "orbit", str(p))
+    assert code == 0 and err == ""
+    assert out == expected
+
+
+def test_orbit_writes_once(monkeypatch, g4_file):
+    # the listing and the count line leave in one write call
+    writes = []
+
+    class FakeStdout:
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", FakeStdout())
+    assert main(["orbit", g4_file]) == 0
+    assert len(writes) == 1
+    assert writes[0].endswith("count: 6\n") and writes[0].count("\n") == 7
 
 
 def test_orbit_frontier_refusal(capsys, tmp_path):
@@ -378,6 +420,26 @@ def test_profile_golden(capsys, loops_file):
         assert (code, out) == (0, "1:2 2:1\n")
 
 
+def test_profile_trace_guard_on_cost_alone(capsys, tmp_path, monkeypatch):
+    # the tracer's default guard admits 16 vertices and refuses 17 before
+    # tracing; the walk is stubbed, so no admitted size is traced either
+    traced = []
+
+    def no_trace(g):
+        traced.append(g.n)
+        raise TooLarge("stub: the walk was reached")
+
+    monkeypatch.setattr("interlacement.profile._circuit_histogram", no_trace)
+    refused = "profile over 3^17 transition systems refused (guard at 16 vertices)"
+    for n, message in ((16, "stub: the walk was reached"), (17, refused)):
+        p = tmp_path / f"g{n}.graph"
+        p.write_text(format_graph(random_matching_graph(n, seed=0)))
+        code, out, err = run_cli(capsys, "profile", str(p), "--engine", "trace")
+        assert code == 3 and out == ""
+        assert err == f"guard: {message}; --force raises it\n"
+    assert traced == [16]
+
+
 def test_profile_frontier_guard(capsys, g4_file, monkeypatch):
     # the two-vertex graph opens a 4-edge frontier: 3 pairings
     monkeypatch.setattr("interlacement.profile.DEFAULT_STATE_GUARD", 2)
@@ -418,15 +480,34 @@ def test_profile_both_engines(capsys, g4_file):
 
 def test_profile_both_engines_disagree(capsys, monkeypatch, g4_file):
     # a defect planted in the frontier engine alone (two transitions
-    # that couple the same slots) is caught by the nullity engine
+    # that couple the same slots) is caught: its profile 1:4 2:5 is
+    # already impossible, since p(-2) = 12, before the engines compare
     couples = profile_module._COUPLES
     monkeypatch.setattr(
         profile_module, "_COUPLES", (couples[0], couples[0], couples[2])
     )
     code, out, err = run_cli(capsys, "profile", g4_file, "--engine", "both")
     assert code == 2
-    assert out == "1:4 2:5\n"
-    assert err == "engines disagree:\n  frontier: 1:4 2:5\n  nullity:  1:6 2:3\n"
+    assert out == ""
+    assert err == (
+        "error: profile {1: 4, 2: 5} is impossible for 2 vertices in 1 "
+        "components\n"
+    )
+
+
+def test_profile_both_engines_disagree_on_valid_profiles(
+    capsys, monkeypatch, g4_file
+):
+    # a nullity engine that answers with another two-vertex graph's
+    # profile, which passes validation, is caught by the comparison
+    other = profile_module.profile_by_frontier(graph_loop_plus_parallel())
+    monkeypatch.setattr(
+        profile_module, "profile_by_nullity", lambda g, **kwargs: other
+    )
+    code, out, err = run_cli(capsys, "profile", g4_file, "--engine", "both")
+    assert code == 2
+    assert out == "1:6 2:3\n"
+    assert err == "engines disagree:\n  frontier: 1:6 2:3\n  nullity:  1:4 2:4 3:1\n"
 
 
 def test_profile_nullity_engine(capsys, g4_file):

@@ -29,13 +29,14 @@ from interlacement import (
     kotzig_orbit,
     label_transitions,
     orbit_codes,
+    orbit_keys,
     random_matching_graph,
     trace_partition,
     transition_for_label,
 )
 import interlacement.euler
 from interlacement.cli import parse_graph
-from conftest import corpus
+from conftest import corpus, two_component_graphs, vertex_indices
 from oracles import (
     all_euler_systems_bruteforce,
     circuit_count,
@@ -74,7 +75,7 @@ def test_hierholzer_is_euler(g):
     for e in kotzig_orbit(g, c):
         assert len(e.circuits) == g.c
         for circ, comp in zip(e.circuits, g.components_index):
-            assert set(circ.vertex_indices()) == set(comp)
+            assert set(vertex_indices(circ)) == set(comp)
 
 
 def test_from_transitions_rejects_non_euler(g_4par):
@@ -275,6 +276,18 @@ def test_kotzig_orbit_transforms_each_new_system_once(g, monkeypatch):
     assert set(traced) <= {e.ts for e in orbit}
 
 
+def _unpack(key, n):
+    # the code of vertex i sits in bits 2(n - 1 - i) and 2(n - 1 - i) + 1
+    return tuple((key >> 2 * (n - 1 - i)) & 3 for i in range(n))
+
+
+def _unspread(rows, n):
+    # a packed row marks neighbour w by a nonzero 2-bit field of w
+    return tuple(
+        sum(1 << w for w, f in enumerate(_unpack(row, n)) if f) for row in rows
+    )
+
+
 def _walk_mismatch(g):
     """First orbit member whose walked state differs from the traced one,
     or None when the walk matches the traced orbit member by member."""
@@ -283,23 +296,13 @@ def _walk_mismatch(g):
     if orbit_codes(g, c) != tuple(e.ts.codes for e in traced):
         return "codes"
     walked = {
-        codes: (psi, rows)
+        _unpack(codes, g.n): (_unpack(psi, g.n), _unspread(rows, g.n))
         for codes, psi, rows in interlacement.euler._orbit_walk(c)
     }
     for e in traced:
         if walked[e.ts.codes] != (e.psi_codes, e.interlacement_rows):
             return e.ts.codes
     return None
-
-
-def _two_component_graphs():
-    # the 11 two-component graphs among seeds 0..39 for n = 4..8
-    graphs = [
-        random_matching_graph(n, seed=seed)
-        for n in range(4, 9)
-        for seed in range(40)
-    ]
-    return [g for g in graphs if g.c == 2]
 
 
 def _orbit_pool_graphs():
@@ -312,7 +315,7 @@ def _orbit_pool_graphs():
     return [parse_graph(entry["graph"]) for entry in pool]
 
 
-_WALK_GRAPHS = corpus(6) + _two_component_graphs() + _orbit_pool_graphs()
+_WALK_GRAPHS = corpus(6) + two_component_graphs() + _orbit_pool_graphs()
 
 
 @pytest.mark.parametrize("g", _WALK_GRAPHS, ids=lambda g: f"n{g.n}-c{g.c}")
@@ -329,7 +332,8 @@ def test_orbit_walk_without_chi_psi_swap_fails(monkeypatch):
 
     def no_swap(codes, psi, rows, i):
         _, new_rows = exchange(codes, psi, rows, i)
-        return psi[:i] + (codes[i],) + psi[i + 1 :], new_rows
+        field = 3 << 2 * (len(rows) - 1 - i)
+        return psi ^ ((psi ^ codes) & field), new_rows
 
     monkeypatch.setattr(interlacement.euler, "_label_exchange", no_swap)
     assert any(_walk_mismatch(g) is not None for g in _WALK_GRAPHS)
@@ -338,6 +342,17 @@ def test_orbit_walk_without_chi_psi_swap_fails(monkeypatch):
 def test_orbit_codes_graph_mismatch(g_4par, g_loops):
     with pytest.raises(GraphMismatch):
         orbit_codes(g_loops, hierholzer(g_4par))
+    with pytest.raises(GraphMismatch):
+        orbit_keys(g_loops, hierholzer(g_4par))
+
+
+@pytest.mark.parametrize("g", _WALK_GRAPHS, ids=lambda g: f"n{g.n}-c{g.c}")
+def test_orbit_keys_decode_to_orbit_codes(g):
+    # the packed keys sort as the code tuples do, and decode to them
+    c = hierholzer(g)
+    keys = orbit_keys(g, c)
+    assert keys == sorted(keys)
+    assert tuple(_unpack(key, g.n) for key in keys) == orbit_codes(g, c)
 
 
 def test_hierholzer_rejects_unpaired_half_edge_table():
@@ -388,7 +403,7 @@ def test_euler_from_partition_postconditions(g):
         # of the united circuit
         assert labels[v0] == chi
         v0i = g.vertex_index(v0)
-        for vi in gamma0.vertex_indices():
+        for vi in vertex_indices(gamma0):
             if vi != v0i:
                 assert labels[g.vertices[vi]] == phi
         # (3) the united circuit's core is the unit vector at the

@@ -18,6 +18,7 @@ from interlacement import (
     spans_equal,
 )
 from interlacement.gf2 import _echelon_rows, _rref_rows
+from conftest import matrix_from_rows
 
 
 def naive_mat_mul(a, b):
@@ -50,7 +51,7 @@ def naive_rank(lists):
 
 
 def random_matrix(rng, nrows, ncols):
-    return GF2Matrix.from_rows(
+    return matrix_from_rows(
         [[rng.randrange(2) for _ in range(ncols)] for _ in range(nrows)]
     )
 
@@ -180,7 +181,7 @@ def test_inverse_round_trip():
 
 
 def test_inverse_singular_raises():
-    a = GF2Matrix.from_rows([[1, 1], [1, 1]])
+    a = matrix_from_rows([[1, 1], [1, 1]])
     with pytest.raises(Singular):
         inverse(a)
 
@@ -195,13 +196,13 @@ def test_spans_equal_permuted_basis():
         # add a random row sum, keeping the span
         if len(rows) >= 2:
             rows.append([x ^ y for x, y in zip(rows[0], rows[1])])
-        b = GF2Matrix.from_rows(rows)
+        b = matrix_from_rows(rows)
         assert spans_equal(a, b)
 
 
 def test_spans_equal_detects_difference():
-    a = GF2Matrix.from_rows([[1, 0], [0, 1]])
-    b = GF2Matrix.from_rows([[1, 0]])
+    a = matrix_from_rows([[1, 0], [0, 1]])
+    b = matrix_from_rows([[1, 0]])
     assert not spans_equal(a, b)
 
 
@@ -225,7 +226,7 @@ def test_rank_bounded_and_transpose_invariant(n, rng):
     a = random_matrix(rng, n, rng.randrange(1, 8))
     r = rank(a)
     assert 0 <= r <= min(a.nrows, a.ncols)
-    transposed = GF2Matrix.from_rows(zip(*a.to_lists()))
+    transposed = matrix_from_rows(zip(*a.to_lists()))
     assert rank(transposed) == r
 
 

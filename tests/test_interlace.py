@@ -46,7 +46,7 @@ from interlacement import (
     spans_equal,
     trace_partition,
 )
-from conftest import corpus
+from conftest import corpus, matrix_from_rows
 
 
 def all_ts(g):
@@ -448,7 +448,7 @@ def principal_nullity(h, s, t):
     sub = [
         [a[i][j] ^ (i == j and v in t) for j in idx] for i, v in zip(idx, s)
     ]
-    return len(s) - rank(GF2Matrix.from_rows(sub))
+    return len(s) - rank(matrix_from_rows(sub))
 
 
 @pytest.mark.parametrize("g", corpus(5), ids=lambda g: "-".join(g.vertices))

@@ -306,6 +306,23 @@ def test_validate_catches_bad_profile():
         prof.validate()
 
 
+@pytest.mark.parametrize("g", corpus(6), ids=lambda g: "-".join(g.vertices))
+def test_validate_catches_moved_count(g):
+    # negative control of p(-2) = 0: one system moved to a neighbouring
+    # stratum keeps the total, the range of counts and every coefficient
+    # positive, so only the value at -2 can catch it
+    counts = profile_by_frontier(g).coefficients
+    assert sum(a * (-2) ** k for k, a in counts.items()) == 0
+    k = next((k for k in counts if counts[k] >= 2 and k + 1 in counts), None)
+    if k is None:
+        pytest.skip("no stratum can give a system to its neighbour")
+    moved = dict(counts)
+    moved[k] -= 1
+    moved[k + 1] += 1
+    with pytest.raises(InvalidProfile, match="impossible"):
+        PartitionProfile(moved, g.n, g.c).validate()
+
+
 def test_validate_survives_optimize():
     # python -O strips assert statements; validate must still raise
     code = "from interlacement import *; PartitionProfile({1: 1}, 2, 1).validate()"
