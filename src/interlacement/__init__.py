@@ -66,7 +66,6 @@ _EXPORTS = {
         "kappa_transform",
         "kotzig_orbit",
         "label_transitions",
-        "orbit_codes",
         "orbit_keys",
         "transition_for_label",
     ),

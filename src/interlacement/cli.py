@@ -417,7 +417,8 @@ def cmd_orbit(args) -> int:
     count = euler_count(g)
     if count > args.limit:
         raise TooLarge(
-            f"orbit of {count} Euler systems exceeds the limit of {args.limit}"
+            f"orbit of {count} Euler systems exceeds the limit of "
+            f"{args.limit}; --limit raises it"
         )
     keys = orbit_keys(g, hierholzer(g))
     # each vertex's possible fields, indexed by transition code, with the
@@ -450,19 +451,14 @@ def cmd_profile(args) -> int:
     g = _load_graph(args.graphfile)
     guard = _FORCED_VERTEX_GUARD if args.force else DEFAULT_ENUMERATION_GUARD
     states = _FORCED_STATE_GUARD if args.force else DEFAULT_STATE_GUARD
-    try:
-        if args.engine == "trace":
-            profile = profile_by_tracing(g, max_vertices=guard)
-        elif args.engine == "nullity":
-            profile = profile_by_nullity(g, max_states=states)
-        else:
-            profile = profile_by_frontier(g, max_states=states)
-        if args.engine == "both":
-            by_rank = profile_by_nullity(g, max_states=states)
-    except TooLarge as exc:
-        if args.force:
-            raise
-        raise TooLarge(f"{exc}; --force raises it") from None
+    if args.engine == "trace":
+        profile = profile_by_tracing(g, max_vertices=guard)
+    elif args.engine == "nullity":
+        profile = profile_by_nullity(g, max_states=states)
+    else:
+        profile = profile_by_frontier(g, max_states=states)
+    if args.engine == "both":
+        by_rank = profile_by_nullity(g, max_states=states)
     print(_profile_line(profile))
     if args.engine == "both":
         if profile.coefficients == by_rank.coefficients:
@@ -551,7 +547,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except TooLarge as exc:
-        print(f"guard: {exc}", file=sys.stderr)
+        # every guard of a command with --force is one that --force raises
+        hint = "; --force raises it" if getattr(args, "force", True) is False else ""
+        print(f"guard: {exc}{hint}", file=sys.stderr)
         return EXIT_GUARD
     except InvalidProfile as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,7 +27,6 @@ from functools import cached_property, lru_cache
 from typing import Dict, List, Tuple
 
 from .errors import AlreadyEuler, GraphError, GraphMismatch, NotEulerSystem
-from .gf2 import iter_bits
 from .graph4 import (
     CODE_BY_PAIR,
     TRANSITIONS,
@@ -50,7 +49,6 @@ __all__ = [
     "transition_for_label",
     "kappa_transform",
     "orbit_keys",
-    "orbit_codes",
     "kotzig_orbit",
     "euler_from_partition",
 ]
@@ -292,25 +290,16 @@ def kappa_transform(c: EulerSystem, v) -> EulerSystem:
     return EulerSystem.from_transitions(c.graph, new_ts)
 
 
-def _pack(values) -> int:
-    """Pack per-vertex values of 0..3 into one int, two bits per vertex,
-    vertex 0 most significant, so int order is the order of the tuples."""
-    key = 0
-    for x in values:
-        key = (key << 2) | x
-    return key
-
-
 def _label_exchange(codes, psi, rows, i):
     """Psi codes and interlacement rows after the vertex transform at ``i``.
 
     ``codes``, ``psi`` and ``rows`` describe an Euler system C: its
-    transition codes and psi codes packed by :func:`_pack`, and its
-    interlacement rows with each neighbour's bit spread to that
-    neighbour's 2-bit field.  In kappa_i(C), phi and psi swap at i; at
-    each interlacement neighbour w of i, chi and psi swap, so the new psi
-    code is chi_w = 3 - phi_w - psi_w; and the rows become the local
-    complement at i.
+    transition codes and psi codes packed two bits per vertex, vertex 0
+    most significant, and its interlacement rows with each neighbour's
+    bit spread to that neighbour's 2-bit field.  In kappa_i(C), phi and
+    psi swap at i; at each interlacement neighbour w of i, chi and psi
+    swap, so the new psi code is chi_w = 3 - phi_w - psi_w; and the rows
+    become the local complement at i.
     """
     n = len(rows)
     field = 3 << 2 * (n - 1 - i)
@@ -336,12 +325,16 @@ def _orbit_walk(c: EulerSystem):
     exchange; members are deduplicated by their packed transition codes,
     and the list starts with ``c``.
     """
-    n = c.graph.n
-    fields = [3 << s for s in range(2 * n - 2, -1, -2)]
-    spread = [
-        sum(fields[w] for w in iter_bits(row)) for row in c.interlacement_rows
-    ]
-    start = (_pack(c.ts.codes), _pack(c.psi_codes), tuple(spread))
+    shifts = range(2 * c.graph.n - 2, -1, -2)
+    fields = [3 << s for s in shifts]
+    start = (
+        sum(x << s for x, s in zip(c.ts.codes, shifts)),
+        sum(x << s for x, s in zip(c.psi_codes, shifts)),
+        tuple(
+            sum(f for w, f in enumerate(fields) if row >> w & 1)
+            for row in c.interlacement_rows
+        ),
+    )
     seen = {start[0]}
     states = [start]
     for codes, psi, rows in states:
@@ -374,24 +367,11 @@ def orbit_keys(g: Graph4R, c: EulerSystem) -> List[int]:
     return sorted(codes for codes, _, _ in _orbit_walk(c))
 
 
-def orbit_codes(g: Graph4R, c: EulerSystem) -> Tuple[Tuple[int, ...], ...]:
-    """Transition codes of every Euler system reachable from ``c`` by
-    vertex transforms, sorted: the keys of :func:`orbit_keys`, unpacked.
-
-    Raises:
-        GraphMismatch: ``c`` is an Euler system of another graph.
-    """
-    shifts = range(2 * g.n - 2, -1, -2)
-    return tuple(
-        tuple((key >> s) & 3 for s in shifts) for key in orbit_keys(g, c)
-    )
-
-
 def kotzig_orbit(g: Graph4R, c: EulerSystem):
     """All Euler systems reachable from ``c`` by vertex transforms.
 
-    The members are those of :func:`orbit_codes`, sorted by transition
-    codes.  Each one other than ``c`` is traced and validated once by
+    The members are those of :func:`orbit_keys`, in key order.  Each one
+    other than ``c`` is traced and validated once by
     ``EulerSystem.from_transitions``, so its psi codes and interlacement
     rows come from its own circuits, never from the walk: checks that
     compare the transform with the label-exchange rules (label exchange,
@@ -401,13 +381,23 @@ def kotzig_orbit(g: Graph4R, c: EulerSystem):
 
     Raises:
         GraphMismatch: ``c`` is an Euler system of another graph.
+        NotEulerSystem: a walked member is not an Euler system; the
+            message names the first such member in key order.
     """
-    return tuple(
-        c
-        if codes == c.ts.codes
-        else EulerSystem.from_transitions(g, TransitionSystem(codes))
-        for codes in orbit_codes(g, c)
-    )
+    shifts = range(2 * g.n - 2, -1, -2)
+    orbit = []
+    for key in orbit_keys(g, c):
+        ts = TransitionSystem(tuple((key >> s) & 3 for s in shifts))
+        try:
+            orbit.append(c if ts == c.ts else EulerSystem.from_transitions(g, ts))
+        except NotEulerSystem as exc:
+            member = " ".join(
+                f"{v}:{TRANSITIONS[x].value}" for v, x in zip(g.vertices, ts.codes)
+            )
+            raise NotEulerSystem(
+                f"orbit member [{member}] is not an Euler system: {exc}"
+            ) from None
+    return tuple(orbit)
 
 
 def euler_from_partition(g: Graph4R, p: CircuitPartition):

@@ -39,7 +39,7 @@ from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import interlace
-from .errors import TooLarge
+from .errors import NotEulerSystem, TooLarge
 from .euler import EulerSystem, hierholzer, kappa_transform, kotzig_orbit
 from .gf2 import GF2Matrix, mat_mul, rank
 from .graph4 import (
@@ -81,7 +81,8 @@ def _check_closure(g: Graph4R) -> CheckResult:
     """The transform orbit of an Euler system is every Euler system.
 
     Orbit members are distinct Euler systems, so the orbit is all of them
-    exactly when its size is the frontier engine's count.
+    exactly when its size is the frontier engine's count.  A walked
+    member that is not an Euler system fails it, as the witness.
 
     Raises:
         TooLarge: the count exceeds ``_ORBIT_LIMIT`` or the frontier
@@ -92,7 +93,10 @@ def _check_closure(g: Graph4R) -> CheckResult:
         raise TooLarge(
             f"orbit of {count} Euler systems exceeds the limit of {_ORBIT_LIMIT}"
         )
-    size = len(kotzig_orbit(g, hierholzer(g)))
+    try:
+        size = len(kotzig_orbit(g, hierholzer(g)))
+    except NotEulerSystem as exc:
+        return CheckResult(False, {"error": exc})
     ok = size == count
     return CheckResult(ok, None if ok else {"orbit": size, "euler_count": count})
 
@@ -381,11 +385,16 @@ def _sweep(g, c0, name, checks, table=None) -> PropertyOutcome:
     property.
 
     ``table`` is the run's ``_OrbitTable`` when the caller has made one;
-    otherwise one is made here if a check ranges over c or c2.
+    otherwise one is made here if a check ranges over c or c2, and an
+    orbit member that is not an Euler system skips the property.
     """
     outcome = PropertyOutcome(name)
     if table is None and any({"c", "c2"} & set(axes) for _, axes in checks):
-        table = _OrbitTable(g, kotzig_orbit(g, c0))
+        try:
+            table = _OrbitTable(g, kotzig_orbit(g, c0))
+        except NotEulerSystem as exc:
+            outcome.skipped = f"kotzig closure failed: {exc}"
+            return outcome
     orbit = () if table is None else table.orbit
     try:
         for check, axes in checks:
@@ -479,16 +488,16 @@ def run_exhaustive(
         if estimate > _WORK_LIMIT:
             raise TooLarge(
                 f"exhaustive sweep needs about {estimate} checks "
-                f"(limit {_WORK_LIMIT}); use force to run anyway"
+                f"(limit {_WORK_LIMIT})"
             )
     c0 = hierholzer(g)
-    table = _OrbitTable(g, kotzig_orbit(g, c0))
+    meta = [_graph_line(g), "mode: exhaustive"]
+    try:
+        table = _OrbitTable(g, kotzig_orbit(g, c0))
+        meta.append(f"orbit size: {len(table.orbit)}")
+    except NotEulerSystem:
+        table = None  # each property over the orbit skips, naming the member
     properties = _properties(corrupt)
-    meta = [
-        _graph_line(g),
-        "mode: exhaustive",
-        f"orbit size: {len(table.orbit)}",
-    ]
     return VerifyReport(
         meta,
         [_sweep(g, c0, name, properties[name], table) for name in PROPERTY_NAMES],

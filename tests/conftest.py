@@ -30,6 +30,23 @@ def vertex_indices(circuit):
     return tuple(h >> 2 for h, _ in circuit.crossings)
 
 
+def plant_walk_without_swap(monkeypatch):
+    """Plant a defect in the orbit walk: the label exchange keeps psi at
+    the neighbours of the transformed vertex, where chi and psi must
+    swap, so the walk reaches transition systems that are not Euler
+    systems."""
+    from interlacement import euler
+
+    exchange = euler._label_exchange
+
+    def no_swap(codes, psi, rows, i):
+        _, new_rows = exchange(codes, psi, rows, i)
+        field = 3 << 2 * (len(rows) - 1 - i)
+        return psi ^ ((psi ^ codes) & field), new_rows
+
+    monkeypatch.setattr(euler, "_label_exchange", no_swap)
+
+
 # one summary line per acceptance gate, printed after the run;
 # populated by test_acceptance.py
 ACCEPTANCE_GATES = {}

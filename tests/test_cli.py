@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interlacement import TRANSITIONS, ParseError, PartitionProfile, hierholzer
-from interlacement import TooLarge, orbit_codes
+from interlacement import TooLarge
 from interlacement import profile_by_tracing, random_matching_graph
 from interlacement import profile as profile_module
 from interlacement.cli import (
@@ -22,8 +22,10 @@ from interlacement.cli import (
 from conftest import (
     graph_four_parallel,
     graph_loop_plus_parallel,
+    plant_walk_without_swap,
     two_component_graphs,
 )
+from oracles import kotzig_orbit_by_tracing
 
 G4PAR = """\
 # four parallel edges
@@ -85,6 +87,23 @@ def test_parse_graph_errors():
         parse_graph("vertices: a\nedge a.0 a.0")
     with pytest.raises(ParseError, match="unrecognized"):
         parse_graph("vertices: a\nfrob a.0 a.1")
+    with pytest.raises(ParseError, match="line 2: duplicate vertices line"):
+        parse_graph("vertices: a\nvertices: b")
+    with pytest.raises(ParseError, match="line 1: duplicate vertex name"):
+        parse_graph("vertices: a b a")
+    with pytest.raises(ParseError, match="line 2: expected 'edge a.i b.j'"):
+        parse_graph("vertices: a\nedge a.0 a.1 a.2")
+    with pytest.raises(ParseError, match="line 2: expected 'vertex.slot'"):
+        parse_graph("vertices: a\nedge a0 a.1")
+
+
+def test_parse_error_exits_one_with_line(capsys, tmp_path):
+    # a parse error reaches the user as one line naming the input line
+    p = tmp_path / "bad.graph"
+    p.write_text("vertices: a\nedge a.0 .1\nedge a.2 a.3\n")
+    code, out, err = run_cli(capsys, "validate", str(p))
+    assert (code, out) == (1, "")
+    assert err == "error: line 2: expected 'vertex.slot', got '.1'\n"
 
 
 def test_parse_graph_tab_after_keyword(capsys, tmp_path):
@@ -318,7 +337,10 @@ def test_orbit_limit_guard(capsys, monkeypatch, g4_file):
     monkeypatch.setattr("interlacement.euler.orbit_keys", no_orbit)
     code, out, err = run_cli(capsys, "orbit", g4_file, "--limit", "3")
     assert code == 3 and out == ""
-    assert err == "guard: orbit of 6 Euler systems exceeds the limit of 3\n"
+    assert err == (
+        "guard: orbit of 6 Euler systems exceeds the limit of 3; "
+        "--limit raises it\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -329,18 +351,73 @@ def test_orbit_limit_guard(capsys, monkeypatch, g4_file):
 )
 def test_orbit_output_renders_orbit_codes(capsys, tmp_path, g):
     # the listing from packed keys is byte for byte one line per member of
-    # orbit_codes, each transition written out, then the count
+    # the orbit traced by the oracle, in code order, each transition
+    # written out, then the count
     p = tmp_path / "g.graph"
     p.write_text(format_graph(g))
-    codes = orbit_codes(g, hierholzer(g))
+    orbit = kotzig_orbit_by_tracing(g, hierholzer(g))
     expected = "".join(
-        " ".join(f"{v}:{TRANSITIONS[x].value}" for v, x in zip(g.vertices, member))
+        " ".join(f"{v}:{TRANSITIONS[x].value}" for v, x in zip(g.vertices, e.ts.codes))
         + "\n"
-        for member in codes
-    ) + f"count: {len(codes)}\n"
+        for e in orbit
+    ) + f"count: {len(orbit)}\n"
     code, out, err = run_cli(capsys, "orbit", str(p))
     assert code == 0 and err == ""
     assert out == expected
+
+
+def test_verify_exhaustive_guard_names_flag(capsys, monkeypatch, tmp_path):
+    # the work estimate alone refuses the graph, before anything is swept,
+    # and the message names the flag that raises the guard
+    def no_sweep(g):
+        raise AssertionError("sweep started before the work guard")
+
+    monkeypatch.setattr("interlacement.verify.hierholzer", no_sweep)
+    p = tmp_path / "g6.graph"
+    p.write_text(format_graph(random_matching_graph(6, seed=0, connected=True)))
+    code, out, err = run_cli(capsys, "verify", str(p), "--exhaustive")
+    assert (code, out) == (3, "")
+    assert err == (
+        "guard: exhaustive sweep needs about 20183411 checks (limit 5000000); "
+        "--force raises it\n"
+    )
+
+
+@pytest.mark.parametrize("mode", [("--samples", "2"), ("--exhaustive",)])
+@pytest.mark.parametrize("n", [3, 4])
+def test_verify_broken_walk_fails_closure(capsys, monkeypatch, tmp_path, mode, n):
+    # an orbit walk that reaches a non-Euler system is a failed property,
+    # exit 2, not bad input; the exhaustive sweep skips every property
+    # over the orbit with the same reason
+    plant_walk_without_swap(monkeypatch)
+    p = tmp_path / "g.graph"
+    p.write_text(format_graph(random_matching_graph(n, seed=0, connected=True)))
+    code, out, err = run_cli(capsys, "verify", str(p), *mode)
+    assert (code, err) == (2, "")
+    lines = out.splitlines()
+    at = lines.index("FAIL kotzig closure: 1 check")
+    witness = lines[at + 1]
+    assert witness.startswith("     counterexample: error=orbit member [v0:")
+    assert witness.endswith(
+        "] is not an Euler system: transition system traces 2 circuits, "
+        "graph has 1 components"
+    )
+    reason = "kotzig closure failed: " + witness.split("error=", 1)[1]
+    skipped = [line for line in lines if line.startswith("SKIP ")]
+    if mode == ("--exhaustive",):
+        assert skipped == [
+            f"SKIP {name}: {reason}"
+            for name in (
+                "local-complement transform",
+                "naturality",
+                "inverse",
+                "label exchange",
+            )
+        ]
+        assert not any(line.startswith("orbit size:") for line in lines)
+    else:
+        assert skipped == []
+    assert lines[-1] == "verification FAILED"
 
 
 def test_orbit_writes_once(monkeypatch, g4_file):
@@ -659,14 +736,28 @@ _LOADED_MODULES = (
     "command, layers",
     [
         ("validate", "cli errors graph4"),
+        ("euler", "cli errors euler graph4"),
+        ("matrix --partition PARTITION", "cli errors euler gf2 graph4 interlace"),
         ("profile", "cli errors graph4 profile"),
+        ("profile --engine trace", "cli errors graph4 profile"),
+        ("profile --engine nullity", "cli errors euler gf2 graph4 profile"),
         ("profile --engine both", "cli errors euler gf2 graph4 profile"),
-        ("orbit", "cli errors euler gf2 graph4 profile"),
+        ("orbit", "cli errors euler graph4 profile"),
+        (
+            "verify --exhaustive",
+            "cli errors euler gf2 graph4 interlace profile verify",
+        ),
+        (
+            "verify --samples 2",
+            "cli errors euler gf2 graph4 interlace profile verify",
+        ),
     ],
 )
-def test_command_loads_only_its_layers(g4_file, command, layers):
+def test_command_loads_only_its_layers(g4_file, tmp_path, command, layers):
     # a fresh interpreter: each command imports only the layers it runs
-    name, *flags = command.split()
+    partition = tmp_path / "g4.partition"
+    partition.write_text("u: phi\nv: psi\n")
+    name, *flags = command.replace("PARTITION", str(partition)).split()
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED_MODULES, name, g4_file, *flags],
         capture_output=True,

@@ -28,7 +28,6 @@ from interlacement import (
     kappa_transform,
     kotzig_orbit,
     label_transitions,
-    orbit_codes,
     orbit_keys,
     random_matching_graph,
     trace_partition,
@@ -36,7 +35,12 @@ from interlacement import (
 )
 import interlacement.euler
 from interlacement.cli import parse_graph
-from conftest import corpus, two_component_graphs, vertex_indices
+from conftest import (
+    corpus,
+    plant_walk_without_swap,
+    two_component_graphs,
+    vertex_indices,
+)
 from oracles import (
     all_euler_systems_bruteforce,
     circuit_count,
@@ -293,7 +297,8 @@ def _walk_mismatch(g):
     or None when the walk matches the traced orbit member by member."""
     c = hierholzer(g)
     traced = kotzig_orbit_by_tracing(g, c)
-    if orbit_codes(g, c) != tuple(e.ts.codes for e in traced):
+    codes = [_unpack(key, g.n) for key in orbit_keys(g, c)]
+    if codes != [e.ts.codes for e in traced]:
         return "codes"
     walked = {
         _unpack(codes, g.n): (_unpack(psi, g.n), _unspread(rows, g.n))
@@ -328,31 +333,50 @@ def test_orbit_walk_matches_tracing(g):
 def test_orbit_walk_without_chi_psi_swap_fails(monkeypatch):
     # negative control: leaving psi alone at the neighbours of the
     # transformed vertex breaks the walk on some graph of the same set
-    exchange = interlacement.euler._label_exchange
-
-    def no_swap(codes, psi, rows, i):
-        _, new_rows = exchange(codes, psi, rows, i)
-        field = 3 << 2 * (len(rows) - 1 - i)
-        return psi ^ ((psi ^ codes) & field), new_rows
-
-    monkeypatch.setattr(interlacement.euler, "_label_exchange", no_swap)
+    plant_walk_without_swap(monkeypatch)
     assert any(_walk_mismatch(g) is not None for g in _WALK_GRAPHS)
 
 
+def test_kotzig_orbit_names_first_member_not_euler(monkeypatch):
+    # with the walk broken, kotzig_orbit stops at the first decoded key
+    # that traces more circuits than components, and names it
+    plant_walk_without_swap(monkeypatch)
+    g = random_matching_graph(3, seed=0, connected=True)
+    c = hierholzer(g)
+    first = next(
+        codes
+        for codes in (_unpack(key, g.n) for key in orbit_keys(g, c))
+        if trace_partition(g, TransitionSystem(codes)).size != g.c
+    )
+    member = " ".join(
+        f"{v}:{TRANSITIONS[x].value}" for v, x in zip(g.vertices, first)
+    )
+    with pytest.raises(NotEulerSystem) as info:
+        kotzig_orbit(g, c)
+    assert str(info.value) == (
+        f"orbit member [{member}] is not an Euler system: transition system "
+        "traces 2 circuits, graph has 1 components"
+    )
+
+
 def test_orbit_codes_graph_mismatch(g_4par, g_loops):
-    with pytest.raises(GraphMismatch):
-        orbit_codes(g_loops, hierholzer(g_4par))
+    # both public forms of the orbit refuse an Euler system of another graph
     with pytest.raises(GraphMismatch):
         orbit_keys(g_loops, hierholzer(g_4par))
+    with pytest.raises(GraphMismatch):
+        kotzig_orbit(g_loops, hierholzer(g_4par))
 
 
 @pytest.mark.parametrize("g", _WALK_GRAPHS, ids=lambda g: f"n{g.n}-c{g.c}")
 def test_orbit_keys_decode_to_orbit_codes(g):
-    # the packed keys sort as the code tuples do, and decode to them
+    # the packed keys sort as the code tuples do, and decode to the codes
+    # of the orbit traced by the oracle, and of kotzig_orbit, in order
     c = hierholzer(g)
     keys = orbit_keys(g, c)
     assert keys == sorted(keys)
-    assert tuple(_unpack(key, g.n) for key in keys) == orbit_codes(g, c)
+    codes = [_unpack(key, g.n) for key in keys]
+    assert codes == [e.ts.codes for e in kotzig_orbit_by_tracing(g, c)]
+    assert codes == [e.ts.codes for e in kotzig_orbit(g, c)]
 
 
 def test_hierholzer_rejects_unpaired_half_edge_table():

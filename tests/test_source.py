@@ -41,3 +41,37 @@ def test_no_unused_import_in_src():
         )
     ]
     assert list(SRC.glob("*.py")) and found == []
+
+
+def _package_imports(tree):
+    """Package modules a module imports, at top level or in a function."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(node.module.split(".")[0])
+    return found
+
+
+# the lower layers, each with the package modules it may import
+_LAYERS = {
+    "errors": set(),
+    "graph4": {"errors"},
+    "gf2": {"errors"},
+    "euler": {"errors", "graph4"},
+}
+
+
+def test_lower_layers_import_only_their_own():
+    # the graph model and the GF(2) layer stand on errors alone, and the
+    # Euler-system layer on the graph model, so `euler` and `orbit` load
+    # no linear algebra
+    found = {
+        name: _package_imports(
+            ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+        )
+        for name in _LAYERS
+    }
+    assert found == _LAYERS

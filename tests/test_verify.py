@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
 from interlacement import (
     GF2Matrix,
+    GF2Vector,
     TooLarge,
     TransitionSystem,
     euler_count,
@@ -452,3 +455,63 @@ def test_naturality_needs_nonsingular_change(monkeypatch):
     assert not result
     assert result.witness["product"] == result.witness["direct"]
     assert result.witness["nonsingular"] is False
+
+
+def skip_toggles(real):
+    # the local complement toggles no edge between neighbours of v
+    return lambda h, v: h
+
+
+def flip_first_coordinate(real):
+    return lambda g, gamma: GF2Vector(g.n, real(g, gamma).bits ^ 1)
+
+
+def rank_plus_one(real):
+    return lambda m: real(m) + 1
+
+
+@pytest.mark.parametrize(
+    "prop, name, wrap, witness",
+    [
+        (
+            "label exchange",
+            "simple_local_complement",
+            skip_toggles,
+            r"vertex=v\d euler=\[[^]]*\] transformed=SimpleGraph\(.*\) "
+            r"complemented=SimpleGraph\(.*\)",
+        ),
+        (
+            "core-kernel equality",
+            "core_vector",
+            flip_first_coordinate,
+            r"euler=\[[^]]*\] partition=\[[^]]*\] core_span=[01/]+ kernel=[01/]*",
+        ),
+        (
+            "circuit nullity",
+            "rank",
+            rank_plus_one,
+            r"partition=\[[^]]*\] nullity=-?\d+ p_size=\d+ components=1",
+        ),
+        (
+            "core independence",
+            "rank",
+            rank_plus_one,
+            r"partition=\[[^]]*\] subset=\([\d, ]*\) independent=False "
+            r"component_swallowed=False",
+        ),
+    ],
+    ids=[
+        "interlacement-complement",
+        "core-kernel",
+        "circuit-nullity",
+        "core-independence",
+    ],
+)
+def test_identity_check_negative_controls(monkeypatch, prop, name, wrap, witness):
+    # one planted defect in a function the check reads fails the property,
+    # and the first witness is that check's
+    plant(monkeypatch, name, wrap)
+    g = random_matching_graph(4, seed=0, connected=True)
+    outcome = sweep_property(g, hierholzer(g), prop)
+    assert not outcome.ok and outcome.skipped is None
+    assert re.fullmatch(witness, outcome.failures[0]), outcome.failures[0]
