@@ -421,6 +421,15 @@ def cmd_orbit(args) -> int:
             f"{args.limit}; --limit raises it"
         )
     keys = orbit_keys(g, hierholzer(g))
+    if len(keys) != count:
+        # distinct orbit members are distinct Euler systems, so a walk that
+        # reaches another number of them than the count is broken
+        print(
+            f"error: orbit walk reached {len(keys)} Euler systems, "
+            f"euler_count is {count}",
+            file=sys.stderr,
+        )
+        return EXIT_PROPERTY
     # each vertex's possible fields, indexed by transition code, with the
     # shift of its code in a packed key
     fields = [

@@ -21,7 +21,6 @@ follows these rules and traces no circuit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Dict, List, Tuple
@@ -63,17 +62,18 @@ class TransitionLabel(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
 class DoubleOccurrenceWord:
     """Cyclic sequence of vertex ids in which each vertex occurs twice."""
 
-    word: Tuple[object, ...]
+    __slots__ = ("word",)
+
+    def __init__(self, word: Tuple[object, ...]):
+        self.word = word
 
     def __str__(self) -> str:
         return " ".join(str(v) for v in self.word)
 
 
-@dataclass(frozen=True, eq=False)
 class EulerSystem:
     """An Euler system: one circuit per component, plus a stored traversal.
 
@@ -84,9 +84,12 @@ class EulerSystem:
     under reversing any stored circuit.
     """
 
-    graph: Graph4R
-    ts: TransitionSystem
-    circuits: Tuple[Circuit, ...]
+    def __init__(
+        self, graph: Graph4R, ts: TransitionSystem, circuits: Tuple[Circuit, ...]
+    ):
+        self.graph = graph
+        self.ts = ts
+        self.circuits = circuits
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EulerSystem):
@@ -146,6 +149,18 @@ class EulerSystem:
         return tuple(
             3 - p - q for p, q in zip(self.ts.codes, self.psi_codes)
         )
+
+    @cached_property
+    def labels_by_code(self) -> Tuple[Tuple[TransitionLabel, ...], ...]:
+        """Per vertex, the label of each transition code (0, 1, 2)."""
+        out = []
+        for phi, psi in zip(self.ts.codes, self.psi_codes):
+            row = [TransitionLabel.CHI] * 3
+            # phi wins where a malformed system's phi and psi codes coincide
+            row[psi] = TransitionLabel.PSI
+            row[phi] = TransitionLabel.PHI
+            out.append(tuple(row))
+        return tuple(out)
 
     @cached_property
     def interlacement_rows(self) -> Tuple[int, ...]:
@@ -254,18 +269,9 @@ def label_transitions(c: EulerSystem, ts: TransitionSystem) -> Dict:
         raise GraphMismatch(
             f"transition system covers {len(ts)} vertices, graph has {g.n}"
         )
-    phi = c.ts.codes
-    psi = c.psi_codes
-    labels = {}
-    for i, v in enumerate(g.vertices):
-        code = ts.codes[i]
-        if code == phi[i]:
-            labels[v] = TransitionLabel.PHI
-        elif code == psi[i]:
-            labels[v] = TransitionLabel.PSI
-        else:
-            labels[v] = TransitionLabel.CHI
-    return labels
+    return {
+        v: row[code] for v, row, code in zip(g.vertices, c.labels_by_code, ts.codes)
+    }
 
 
 def transition_for_label(c: EulerSystem, v, label: TransitionLabel) -> Transition:

@@ -11,7 +11,6 @@ nothing involves a tolerance.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import DimensionMismatch, IndexOutOfRange, Singular
@@ -38,26 +37,34 @@ def iter_bits(x: int) -> Iterator[int]:
         x ^= low
 
 
-@dataclass(frozen=True)
 class GF2Vector:
     """A length-``n`` vector over GF(2), coordinates packed into one integer.
 
     Bit ``i`` of ``bits`` holds coordinate ``i``.  Addition is XOR.
     """
 
-    n: int
-    bits: int
+    __slots__ = ("n", "bits")
 
-    def __post_init__(self):
+    def __init__(self, n: int, bits: int):
         try:
-            if self.n < 0 or self.bits < 0 or self.bits >> self.n:
+            if n < 0 or bits < 0 or bits >> n:
                 raise DimensionMismatch(
-                    f"value {self.bits:#x} does not fit in {self.n} coordinates"
+                    f"value {bits:#x} does not fit in {n} coordinates"
                 )
         except TypeError:
             raise DimensionMismatch(
-                f"length {self.n!r} and value {self.bits!r} must be ints"
+                f"length {n!r} and value {bits!r} must be ints"
             ) from None
+        self.n = n
+        self.bits = bits
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not GF2Vector:
+            return NotImplemented
+        return self.n == other.n and self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.bits))
 
     @classmethod
     def zero(cls, n: int) -> "GF2Vector":
@@ -92,42 +99,63 @@ class GF2Vector:
         return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
 
 
-@dataclass(frozen=True)
 class GF2Matrix:
     """Immutable dense matrix over GF(2) with integer bit-set rows."""
 
-    nrows: int
-    ncols: int
-    rows: Tuple[int, ...]
+    __slots__ = ("nrows", "ncols", "rows")
 
-    def __post_init__(self):
+    def __init__(self, nrows: int, ncols: int, rows: Sequence[int]):
         # stored as a tuple, so any sequence of rows hashes like its tuple;
         # the products of the hot loops already are tuples and skip this
-        if type(self.rows) is not tuple:
+        if type(rows) is not tuple:
             try:
-                object.__setattr__(self, "rows", tuple(self.rows))
+                rows = tuple(rows)
             except TypeError:
                 raise DimensionMismatch(
-                    f"{self.rows!r} is not a sequence of rows"
+                    f"{rows!r} is not a sequence of rows"
                 ) from None
         try:
             # operator.index refuses a float or other non-integral shape
-            nrows, ncols = operator.index(self.nrows), operator.index(self.ncols)
-            if nrows < 0 or ncols < 0 or len(self.rows) != nrows:
+            nr, nc = operator.index(nrows), operator.index(ncols)
+            if nr < 0 or nc < 0 or len(rows) != nr:
                 raise DimensionMismatch(
-                    f"{len(self.rows)} rows supplied for a "
-                    f"{self.nrows}x{self.ncols} matrix"
+                    f"{len(rows)} rows supplied for a {nrows}x{ncols} matrix"
                 )
-            for r in self.rows:
-                if r < 0 or r >> ncols:
+            for r in rows:
+                if r < 0 or r >> nc:
                     raise DimensionMismatch(
-                        f"row {r:#x} does not fit in {self.ncols} columns"
+                        f"row {r:#x} does not fit in {ncols} columns"
                     )
         except TypeError:
             raise DimensionMismatch(
-                f"shape {self.nrows!r}x{self.ncols!r} and rows {self.rows!r} "
-                "must be ints"
+                f"shape {nrows!r}x{ncols!r} and rows {rows!r} must be ints"
             ) from None
+        self.nrows = nrows
+        self.ncols = ncols
+        self.rows = rows
+
+    @classmethod
+    def _unchecked(cls, nrows: int, ncols: int, rows: Tuple[int, ...]) -> "GF2Matrix":
+        """A matrix the caller vouches for: ``rows`` is a tuple of
+        ``nrows`` ints that fit in ``ncols`` columns.  For the builders
+        whose rows are valid by construction; nothing is checked."""
+        m = object.__new__(cls)
+        m.nrows = nrows
+        m.ncols = ncols
+        m.rows = rows
+        return m
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not GF2Matrix:
+            return NotImplemented
+        return (
+            self.rows == other.rows
+            and self.nrows == other.nrows
+            and self.ncols == other.ncols
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.nrows, self.ncols, self.rows))
 
     @classmethod
     def identity(cls, n: int) -> "GF2Matrix":
@@ -199,7 +227,7 @@ def mat_mul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
             acc ^= brows[low.bit_length() - 1]
             ra ^= low
         out.append(acc)
-    return GF2Matrix(a.nrows, b.ncols, tuple(out))
+    return GF2Matrix._unchecked(a.nrows, b.ncols, tuple(out))
 
 
 def _reduce(x: int, lead: Dict[int, int], mask: int = -1) -> int:

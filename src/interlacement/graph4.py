@@ -22,7 +22,6 @@ next to the core checks that use them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
@@ -127,7 +126,6 @@ class HalfEdge(NamedTuple):
         return f"{self.vertex}.{self.slot}"
 
 
-@dataclass(frozen=True, eq=False)
 class Graph4R:
     """A 4-regular multigraph in half-edge form.
 
@@ -137,9 +135,17 @@ class Graph4R:
     :func:`build_graph` to construct one.
     """
 
-    vertices: Tuple[object, ...]
-    edges: Tuple[Tuple[HalfEdge, HalfEdge], ...]
-    other_end_table: Tuple[int, ...] = field(repr=False)
+    def __init__(
+        self,
+        vertices: Tuple[object, ...],
+        edges: Tuple[Tuple[HalfEdge, HalfEdge], ...],
+        other_end_table: Tuple[int, ...],
+    ):
+        self.vertices = vertices
+        self.edges = edges
+        self.other_end_table = other_end_table
+        self.n = len(vertices)
+        self.half_edge_count = 4 * self.n
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -154,14 +160,6 @@ class Graph4R:
     @cached_property
     def _hash(self) -> int:
         return hash((self.vertices, self.edges))
-
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def half_edge_count(self) -> int:
-        return 4 * len(self.vertices)
 
     @cached_property
     def _vindex(self) -> Dict[object, int]:
@@ -267,7 +265,6 @@ def connected_components(g: Graph4R) -> Tuple[Tuple[object, ...], ...]:
     )
 
 
-@dataclass(frozen=True)
 class TransitionSystem:
     """A choice of transition at every vertex, stored as canonical codes.
 
@@ -275,20 +272,27 @@ class TransitionSystem:
     position ``i`` of the graph's vertex order.
     """
 
-    codes: Tuple[int, ...]
+    __slots__ = ("codes",)
 
-    def __post_init__(self):
+    def __init__(self, codes: Sequence[int]):
         # stored as a tuple, so any sequence of codes hashes like its tuple
         try:
-            codes = tuple(self.codes)
+            self.codes = tuple(codes)
         except TypeError:
             raise GraphError(
-                f"{self.codes!r} is not a sequence of transition codes"
+                f"{codes!r} is not a sequence of transition codes"
             ) from None
-        for c in codes:
+        for c in self.codes:
             if not isinstance(c, int) or c not in (0, 1, 2):
                 raise GraphError(f"{c!r} is not a transition code")
-        object.__setattr__(self, "codes", codes)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not TransitionSystem:
+            return NotImplemented
+        return self.codes == other.codes
+
+    def __hash__(self) -> int:
+        return hash((self.codes,))
 
     @classmethod
     def from_map(cls, g: Graph4R, mapping: Dict) -> "TransitionSystem":
@@ -317,7 +321,6 @@ class TransitionSystem:
         return len(self.codes)
 
 
-@dataclass(frozen=True)
 class Circuit:
     """A directed closed walk, stored as its cyclic crossing sequence.
 
@@ -326,19 +329,34 @@ class Circuit:
     and the next crossing's ``entered`` is the far end.
     """
 
-    crossings: Tuple[Tuple[int, int], ...]
+    __slots__ = ("crossings",)
+
+    def __init__(self, crossings: Tuple[Tuple[int, int], ...]):
+        self.crossings = crossings
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Circuit:
+            return NotImplemented
+        return self.crossings == other.crossings
+
+    def __hash__(self) -> int:
+        return hash((self.crossings,))
 
     def __len__(self) -> int:
         return len(self.crossings)
 
 
-@dataclass(frozen=True, eq=False)
 class CircuitPartition:
     """The circuits induced on a graph by one transition system."""
 
-    graph: Graph4R
-    source: TransitionSystem
-    circuits: Tuple[Circuit, ...]
+    __slots__ = ("graph", "source", "circuits")
+
+    def __init__(
+        self, graph: Graph4R, source: TransitionSystem, circuits: Tuple[Circuit, ...]
+    ):
+        self.graph = graph
+        self.source = source
+        self.circuits = circuits
 
     @property
     def size(self) -> int:

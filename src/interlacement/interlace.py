@@ -24,7 +24,6 @@ and core-independence checks, so that the graph model in
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -74,7 +73,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class SimpleGraph:
     """A simple graph on an ordered vertex set, adjacency as bit rows.
 
@@ -84,24 +82,37 @@ class SimpleGraph:
     outside ``vertices``.
     """
 
-    vertices: Tuple[object, ...]
-    rows: Tuple[int, ...]
+    __slots__ = ("vertices", "rows")
 
-    def __post_init__(self):
-        n = len(self.vertices)
-        if len(self.rows) != n:
-            raise GraphError(f"{len(self.rows)} adjacency rows for {n} vertices")
-        for i, r in enumerate(self.rows):
+    def __init__(self, vertices: Tuple[object, ...], rows: Tuple[int, ...]):
+        n = len(vertices)
+        if len(rows) != n:
+            raise GraphError(f"{len(rows)} adjacency rows for {n} vertices")
+        for i, r in enumerate(rows):
             if r < 0 or r >> n:
                 raise GraphError(f"row {i} does not fit in {n} vertices")
             if r >> i & 1:
-                raise GraphError(f"loop at {self.vertices[i]!r}")
+                raise GraphError(f"loop at {vertices[i]!r}")
             for j in iter_bits(r):
-                if not self.rows[j] >> i & 1:
+                if not rows[j] >> i & 1:
                     raise GraphError(
-                        f"adjacency not symmetric: {self.vertices[i]!r} -> "
-                        f"{self.vertices[j]!r}"
+                        f"adjacency not symmetric: {vertices[i]!r} -> "
+                        f"{vertices[j]!r}"
                     )
+        self.vertices = vertices
+        self.rows = rows
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not SimpleGraph:
+            return NotImplemented
+        return self.vertices == other.vertices and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.rows))
+
+    def __repr__(self) -> str:
+        # witnesses of the interlacement-complement check print this text
+        return f"SimpleGraph(vertices={self.vertices!r}, rows={self.rows!r})"
 
     @classmethod
     def from_edges(cls, vertices: Iterable, edges: Iterable[Tuple]) -> "SimpleGraph":
@@ -152,20 +163,6 @@ def simple_local_complement(h: SimpleGraph, v) -> SimpleGraph:
     return SimpleGraph(h.vertices, tuple(rows))
 
 
-def _label_masks(c: EulerSystem, ts: TransitionSystem) -> Tuple[int, int]:
-    """Bit masks of the phi- and psi-labeled vertices of ``ts`` wrt ``c``."""
-    phi_mask = 0
-    psi_mask = 0
-    phi = c.ts.codes
-    psi = c.psi_codes
-    for i, code in enumerate(ts.codes):
-        if code == phi[i]:
-            phi_mask |= 1 << i
-        elif code == psi[i]:
-            psi_mask |= 1 << i
-    return phi_mask, psi_mask
-
-
 def modified_interlacement_matrix(c: EulerSystem, ts: TransitionSystem) -> GF2Matrix:
     """The modified interlacement matrix M(``c``, ``ts``).
 
@@ -175,16 +172,26 @@ def modified_interlacement_matrix(c: EulerSystem, ts: TransitionSystem) -> GF2Ma
     1 on the diagonal, chi columns are untouched.  The phi and psi rules
     touch disjoint columns, so the edit order is immaterial.
     """
-    g = c.graph
-    if len(ts) != g.n:
+    n = c.graph.n
+    codes = ts.codes
+    if len(codes) != n:
         raise GraphMismatch(
-            f"transition system covers {len(ts)} vertices, graph has {g.n}"
+            f"transition system covers {len(codes)} vertices, graph has {n}"
         )
-    phi, psi = _label_masks(c, ts)
+    # bit masks of the phi- and psi-labeled vertices
+    phi = psi = 0
+    bit = 1
+    for code, phi_code, psi_code in zip(codes, c.ts.codes, c.psi_codes):
+        if code == phi_code:
+            phi |= bit
+        elif code == psi_code:
+            psi |= bit
+        bit <<= 1
     diag = phi | psi
+    keep = ~phi
     rows = c.interlacement_rows
-    return GF2Matrix(
-        g.n, g.n, tuple(r & ~phi | diag & 1 << v for v, r in enumerate(rows))
+    return GF2Matrix._unchecked(
+        n, n, tuple([r & keep | diag & 1 << v for v, r in enumerate(rows)])
     )
 
 
@@ -202,15 +209,17 @@ def modified_local_complement(m: GF2Matrix, c: EulerSystem, v) -> GF2Matrix:
     rv = rows[vi]
     for w in iter_bits(c.interlacement_rows[vi]):
         rows[w] ^= rv
-    return GF2Matrix(m.nrows, m.ncols, tuple(rows))
+    return GF2Matrix._unchecked(m.nrows, m.ncols, tuple(rows))
 
 
-@dataclass(frozen=True)
 class CheckResult:
     """Outcome of a property check; falsy on failure, with witness data."""
 
-    ok: bool
-    witness: Optional[Dict] = None
+    __slots__ = ("ok", "witness")
+
+    def __init__(self, ok: bool, witness: Optional[Dict] = None):
+        self.ok = ok
+        self.witness = witness
 
     def __bool__(self) -> bool:
         return self.ok

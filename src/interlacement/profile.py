@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Tuple
 
 from .errors import GraphMismatch, InvalidProfile, TooLarge
@@ -71,13 +70,26 @@ _COUPLES = tuple(
 )
 
 
-@dataclass(frozen=True)
 class PartitionProfile:
     """Coefficient map {circuit count: number of transition systems}."""
 
-    coefficients: Dict[int, int]
-    n_vertices: int
-    c_components: int
+    __slots__ = ("coefficients", "n_vertices", "c_components")
+
+    def __init__(
+        self, coefficients: Dict[int, int], n_vertices: int, c_components: int
+    ):
+        self.coefficients = coefficients
+        self.n_vertices = n_vertices
+        self.c_components = c_components
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not PartitionProfile:
+            return NotImplemented
+        return (
+            self.coefficients == other.coefficients
+            and self.n_vertices == other.n_vertices
+            and self.c_components == other.c_components
+        )
 
     def total(self) -> int:
         return sum(self.coefficients.values())

@@ -10,31 +10,41 @@ configuration per sample and pass it to every property.  All randomness
 comes from one ``random.Random(seed)`` stream, so reports are
 reproducible byte for byte.
 
-The exhaustive sweep splits the points of a check into *rows*, the
-tuples of its leading orbit axes: (c, c2) for naturality and the inverse
-pair, c for the local-complement transform and the label exchange.  A
-row that its predicate in ``_ROW_PROOFS`` proves from the run's
-``_OrbitTable`` counts all of its points at once; every point of any
-other row goes to the per-point check, so verdicts and witnesses, in
-order, are those of a sweep of one call per point.
+The exhaustive sweep splits the points of a check into *rows*: the
+tuples of its leading orbit axes, (c, c2) for naturality and the inverse
+pair and c for the local-complement transform and the label exchange,
+and for core independence the ts whose circuit subsets are its points.
+A row that its predicate in ``_ROW_PROOFS`` proves counts all of its
+points at once; every point of any other row goes to the per-point
+check, so verdicts and witnesses, in order, are those of a sweep of one
+call per point.  The orbit rows read the run's ``_OrbitTable``.
 
-The predicates act column by column.  Column v of M(c, ts), like the
-label at v, depends only on ts's code t at v, so when every entry of a
-member is its *column assembly* (column v taken from the constant
-system whose codes are all t), an identity whose other side also acts
-on each column alone holds at every ts once it holds at the three
-constant systems.  ``mat_mul(X, .)`` and
-``modified_local_complement(., c, v)`` do, which
+The naturality, transform and label-exchange predicates act column by
+column.  Column v of M(c, ts), like the label at v, depends only on
+ts's code t at v, so when every entry of a member is its *column
+assembly* (column v taken from the constant system whose codes are all
+t), an identity whose other side also acts on each column alone holds
+at every ts once it holds at the three constant systems.
+``mat_mul(X, .)`` and ``modified_local_complement(., c, v)`` do, which
 ``test_row_operations_commute_with_column_assembly`` pins, and the
-exchange rule reads each vertex's label alone.  The inverse pair reads
-both of its matrices from the table.
+exchange rule reads each vertex's label alone.  Naturality checks the
+three constant systems in one product, X W_c = W_c2, with W_c the
+packed block [M(c, P_0) | M(c, P_1) | M(c, P_2)].  The table computes
+the inverse pair's product M(c, c2.ts) M(c2, c.ts) once per ordered
+pair; the inverse sweep reads it, and where it is I it also shows that
+naturality's change of basis X = M(c2, c.ts) is nonsingular, so ``rank``
+runs only where it is not.
+
+A core-independence row holds when the core vectors of the k circuits
+have rank k minus the number of components and each component's
+vectors sum to 0; the dependencies among them are then exactly the sums
+of component indicators, which decides every subset at once.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -130,12 +140,18 @@ _WORK_LIMIT = 5_000_000
 _ORBIT_LIMIT = 3 ** 8
 
 
-@dataclass
 class PropertyOutcome:
-    name: str
-    checks: int = 0
-    failures: List[str] = field(default_factory=list)
-    skipped: Optional[str] = None
+    def __init__(
+        self,
+        name: str,
+        checks: int = 0,
+        failures: Optional[List[str]] = None,
+        skipped: Optional[str] = None,
+    ):
+        self.name = name
+        self.checks = checks
+        self.failures = [] if failures is None else failures
+        self.skipped = skipped
 
     @property
     def ok(self) -> bool:
@@ -147,10 +163,10 @@ class PropertyOutcome:
             self.failures.append(describe())
 
 
-@dataclass
 class VerifyReport:
-    meta: List[str]
-    outcomes: List[PropertyOutcome]
+    def __init__(self, meta: List[str], outcomes: List[PropertyOutcome]):
+        self.meta = meta
+        self.outcomes = outcomes
 
     @property
     def passed(self) -> bool:
@@ -203,9 +219,14 @@ def _ts_index(ts: TransitionSystem) -> int:
     return k
 
 
+def _all_ts(g: Graph4R):
+    """Every transition system of ``g``, in ``itertools.product`` order."""
+    return map(TransitionSystem, itertools.product((0, 1, 2), repeat=g.n))
+
+
 def _points(g, c0, orbit, axes):
     """Every argument tuple over ``axes``, outermost axis first."""
-    all_ts = map(TransitionSystem, itertools.product((0, 1, 2), repeat=g.n))
+    all_ts = _all_ts(g)
     if axes == ("ts", "subset"):
         return (
             (ts, subset)
@@ -214,6 +235,32 @@ def _points(g, c0, orbit, axes):
         )
     domains = {"c": orbit, "c2": orbit, "c0": (c0,), "ts": all_ts, "v": g.vertices}
     return itertools.product(*(domains[axis] for axis in axes))
+
+
+def _rows(g, c0, orbit, axes):
+    """(row, leading arguments, points) of a check over ``axes``, in the
+    order of ``_points``.
+
+    A row is the orbit indices of the leading c and c2 axes, with those
+    members as its leading arguments; for the axes (ts, subset) it is
+    the partition that ts traces, with ts as its leading argument and
+    one point per subset of its circuits.  A check with neither has one
+    row, (), holding every point.
+    """
+    if axes == ("ts", "subset"):
+        for ts in _all_ts(g):
+            p = trace_partition(g, ts)
+            yield (p,), (ts,), [(subset,) for subset in _subset_iter(p.size)]
+        return
+    lead = len(list(itertools.takewhile({"c", "c2"}.__contains__, axes)))
+    points = _points(g, c0, orbit, axes[lead:])
+    if not lead:
+        yield (), (), points
+        return
+    # every row walks the same points
+    points = list(points)
+    for row in itertools.product(range(len(orbit)), repeat=lead):
+        yield row, [orbit[i] for i in row], points
 
 
 def _record(outcome: PropertyOutcome, g: Graph4R, result: CheckResult) -> None:
@@ -228,16 +275,16 @@ class _OrbitTable:
     ``whole[i]`` tells whether every entry of member i is its column
     assembly.  Each half is built on first use.  The matrix half keeps
     every entry, the label half only the three constant entries of each
-    member.  The builders are read through ``interlace``, where the
-    per-point checks read them, so both routes run the same functions.
+    member; from the matrices come each whole member's packed block and
+    each ordered pair's inverse verdict.  The builders are read through
+    ``interlace``, where the per-point checks read them, so both routes
+    run the same functions.
     """
 
     def __init__(self, g: Graph4R, orbit):
         self.g = g
         self.orbit = orbit
-        self.all_ts = list(
-            map(TransitionSystem, itertools.product((0, 1, 2), repeat=g.n))
-        )
+        self.all_ts = list(_all_ts(g))
         self.index = {c.ts: i for i, c in enumerate(orbit)}
         # position of each member's own system in all_ts
         self.own = [_ts_index(c.ts) for c in orbit]
@@ -254,76 +301,119 @@ class _OrbitTable:
             _ts_index(TransitionSystem((t,) * g.n)) for t in (0, 1, 2)
         ]
 
-    def _rows(self, build, is_assembly):
-        """Per member: its entries over ``all_ts`` and its ``whole`` flag."""
+    def _entries(self, build, is_whole):
+        """Per member: its entries over ``all_ts`` and its ``whole`` flag,
+        ``is_whole(entries, constants)`` with the member's three
+        constant entries."""
         for c in self.orbit:
             row = [build(c, ts) for ts in self.all_ts]
-            consts = [row[k] for k in self.constant]
-            yield row, all(
-                is_assembly(entry, consts, ts, masks)
-                for entry, ts, masks in zip(row, self.all_ts, self.masks)
-            )
+            yield row, is_whole(row, [row[k] for k in self.constant])
 
     @cached_property
     def matrices(self):
         """(entries, whole), ``entries[i][k]`` = M(orbit[i], all_ts[k])."""
         n = self.g.n
 
-        def is_assembly(m, consts, ts, masks):
-            m0, m1, m2 = masks
-            assembly = tuple(
+        def is_whole(row, consts):
+            # the rows of all entries end to end, against those of their
+            # column assemblies
+            triples = list(zip(*(m.rows for m in consts)))
+            return all(m.nrows == m.ncols == n for m in row) and [
+                r for m in row for r in m.rows
+            ] == [
                 r0 & m0 | r1 & m1 | r2 & m2
-                for r0, r1, r2 in zip(*(k.rows for k in consts))
-            )
-            return m.nrows == m.ncols == n and m.rows == assembly
+                for m0, m1, m2 in self.masks
+                for r0, r1, r2 in triples
+            ]
 
         entries, whole = [], []
-        for row, flag in self._rows(
-            interlace.modified_interlacement_matrix, is_assembly
+        for row, flag in self._entries(
+            interlace.modified_interlacement_matrix, is_whole
         ):
             entries.append(row)
             whole.append(flag)
         return entries, whole
 
     @cached_property
+    def blocks(self):
+        """Per whole member c, W_c = [M(c, P_0) | M(c, P_1) | M(c, P_2)]:
+        n rows of 3n bits, row r of M(c, P_t) in bits tn to tn + n - 1;
+        None for a member that is not whole."""
+        entries, whole = self.matrices
+        n = self.g.n
+        out = []
+        for row, flag in zip(entries, whole):
+            if not flag:
+                out.append(None)
+                continue
+            m0, m1, m2 = (row[k].rows for k in self.constant)
+            out.append(
+                GF2Matrix._unchecked(
+                    n,
+                    3 * n,
+                    tuple(
+                        r0 | r1 << n | r2 << 2 * n for r0, r1, r2 in zip(m0, m1, m2)
+                    ),
+                )
+            )
+        return out
+
+    @cached_property
+    def inverse(self):
+        """``inverse[i][j]``: M(orbit[i], orbit[j].ts) M(orbit[j],
+        orbit[i].ts) = I, the inverse pair of (orbit[i], orbit[j])."""
+        entries, _ = self.matrices
+        identity = GF2Matrix.identity(self.g.n)
+        own = self.own
+        return [
+            [
+                mat_mul(entries[i][own[j]], entries[j][own_i]) == identity
+                for j in range(len(own))
+            ]
+            for i, own_i in enumerate(own)
+        ]
+
+    @cached_property
     def labels(self):
         """(constants, whole), ``constants[i][t]`` = the labels of P_t
         wrt orbit[i]."""
         vertices = self.g.vertices
+        keys = set(vertices)
 
-        def is_assembly(labels, consts, ts, masks):
-            return labels == {
-                w: consts[t].get(w) for w, t in zip(vertices, ts.codes)
-            }
+        def is_whole(row, consts):
+            # per vertex, its label in each constant entry
+            by_code = [tuple(k.get(w) for k in consts) for w in vertices]
+            return all(labels.keys() == keys for labels in row) and [
+                labels[w] for labels in row for w in vertices
+            ] == [
+                lab[t] for ts in self.all_ts for lab, t in zip(by_code, ts.codes)
+            ]
 
         constants, whole = [], []
-        for row, flag in self._rows(interlace.label_transitions, is_assembly):
+        for row, flag in self._entries(interlace.label_transitions, is_whole):
             constants.append([row[k] for k in self.constant])
             whole.append(flag)
         return constants, whole
 
 
 def _naturality_row(table: _OrbitTable, i: int, j: int) -> bool:
-    """Row (c, c2): the change of basis X = M(c2, c.ts) is nonsingular,
-    both members are whole, and X M(c, P_t) = M(c2, P_t) at each t."""
+    """Row (c, c2): both members are whole, the change of basis
+    X = M(c2, c.ts) is nonsingular, and X W_c = W_c2, which is
+    X M(c, P_t) = M(c2, P_t) at each t.  X is nonsingular when the
+    row's inverse pair M(c, c2.ts) X is I; only where it is not does
+    ``rank`` decide."""
     matrices, whole = table.matrices
+    if not (whole[i] and whole[j]):
+        return False
     m_change = matrices[j][table.own[i]]
     return (
-        whole[i]
-        and whole[j]
-        and rank(m_change) == table.g.n
-        and all(
-            mat_mul(m_change, matrices[i][k]) == matrices[j][k]
-            for k in table.constant
-        )
-    )
+        table.inverse[i][j] or rank(m_change) == table.g.n
+    ) and mat_mul(m_change, table.blocks[i]) == table.blocks[j]
 
 
 def _inverse_row(table: _OrbitTable, i: int, j: int) -> bool:
     """Row (c, c2), its only point: M(c, c2.ts) M(c2, c.ts) = I."""
-    matrices, _ = table.matrices
-    product = mat_mul(matrices[i][table.own[j]], matrices[j][table.own[i]])
-    return product == GF2Matrix.identity(table.g.n)
+    return table.inverse[i][j]
 
 
 def _vertex_row(table: _OrbitTable, i: int, whole, holds) -> bool:
@@ -367,15 +457,36 @@ def _label_row(table: _OrbitTable, i: int) -> bool:
     return _vertex_row(table, i, whole, holds)
 
 
+def _core_row(table, p) -> bool:
+    """Row ts of core independence, ``p`` the partition ts traces: the
+    core vectors of its k circuits have rank k minus the number of
+    components, and each component's vectors sum to 0.  The dependencies
+    among the vectors are then exactly the sums of component indicators,
+    so a subset is independent exactly when it holds no whole component,
+    which is the check at every subset.  ``core_vector`` and ``rank``
+    are read through ``interlace``, as the per-point check reads them;
+    the row needs no table."""
+    g = p.graph
+    vectors = [interlace.core_vector(g, circ) for circ in p.circuits]
+    sums: Dict[int, int] = {}
+    for circ, vector in zip(p.circuits, vectors):
+        comp = g.component_of[circ.crossings[0][0] >> 2]
+        sums[comp] = sums.get(comp, 0) ^ vector.bits
+    return not any(sums.values()) and interlace.rank(
+        GF2Matrix.from_vectors(vectors, g.n)
+    ) == len(vectors) - len(sums)
+
+
 # Row predicates of the exhaustive sweep, keyed by the function objects
 # in ``PROPERTIES``, so that a wrapped check (``_properties(corrupt=True)``)
-# runs point by point.  A predicate takes the table and the row's orbit
-# indices.
+# runs point by point.  A predicate takes the table and the row of
+# ``_rows``.
 _ROW_PROOFS = {
     check_naturality: _naturality_row,
     check_inverse: _inverse_row,
     check_local_complement_transform: _transform_row,
     check_label_exchange: _label_row,
+    check_core_independence: _core_row,
 }
 
 
@@ -398,19 +509,13 @@ def _sweep(g, c0, name, checks, table=None) -> PropertyOutcome:
     orbit = () if table is None else table.orbit
     try:
         for check, axes in checks:
-            lead = len(list(itertools.takewhile({"c", "c2"}.__contains__, axes)))
-            rest = _points(g, c0, orbit, axes[lead:])
-            if lead:
-                # every row walks the same points
-                rest = list(rest)
             prove = _ROW_PROOFS.get(check)
-            for row in itertools.product(range(len(orbit)), repeat=lead):
+            for row, lead, points in _rows(g, c0, orbit, axes):
                 if prove is not None and prove(table, *row):
-                    outcome.checks += len(rest)
+                    outcome.checks += len(points)
                     continue
-                members = [orbit[i] for i in row]
-                for args in rest:
-                    _record(outcome, g, check(g, *members, *args))
+                for args in points:
+                    _record(outcome, g, check(g, *lead, *args))
     except TooLarge as exc:
         outcome.skipped = str(exc)
     return outcome

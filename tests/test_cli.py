@@ -420,6 +420,15 @@ def test_verify_broken_walk_fails_closure(capsys, monkeypatch, tmp_path, mode, n
     assert lines[-1] == "verification FAILED"
 
 
+def test_orbit_count_mismatch_exits_two(capsys, monkeypatch, g4_file):
+    # a walk that misses Euler systems is a failed property: the listing
+    # is withheld and the two counts are named
+    plant_walk_without_swap(monkeypatch)
+    code, out, err = run_cli(capsys, "orbit", g4_file)
+    assert (code, out) == (2, "")
+    assert err == "error: orbit walk reached 4 Euler systems, euler_count is 6\n"
+
+
 def test_orbit_writes_once(monkeypatch, g4_file):
     # the listing and the count line leave in one write call
     writes = []
@@ -725,11 +734,17 @@ def test_console_script_trace_profile(tmp_path):
 
 _LOADED_MODULES = (
     "import sys\n"
+    "before = set(sys.modules)\n"
     "from interlacement.cli import main\n"
     "code = main(sys.argv[1:])\n"
+    "print(*sorted(set(sys.modules) - before))\n"
     "print(*sorted(m for m in sys.modules if m.startswith('interlacement.')))\n"
     "sys.exit(code)\n"
 )
+
+# dataclasses, and the modules it pulls in, cost every job their import
+# and their class generation; no command needs them
+_UNWANTED = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 @pytest.mark.parametrize(
@@ -764,5 +779,6 @@ def test_command_loads_only_its_layers(g4_file, tmp_path, command, layers):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.splitlines()[-1].split()
-    assert loaded == [f"interlacement.{m}" for m in layers.split()]
+    *_, added, loaded = proc.stdout.splitlines()
+    assert loaded.split() == [f"interlacement.{m}" for m in layers.split()]
+    assert _UNWANTED.isdisjoint(added.split())

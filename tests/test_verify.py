@@ -12,6 +12,7 @@ from interlacement import (
     interlace,
     kotzig_orbit,
     random_matching_graph,
+    trace_partition,
 )
 from interlacement import verify
 from interlacement.euler import TransitionLabel
@@ -23,7 +24,7 @@ from interlacement.verify import (
     run_samples,
     sweep_property,
 )
-from conftest import corpus, graph_four_parallel
+from conftest import corpus, graph_four_parallel, vertex_indices
 
 
 # report order; the check counts below are pinned, and any rework of the
@@ -445,6 +446,35 @@ def test_naturality_table_negative_control(monkeypatch):
     assert len(table.failures) == 3
 
 
+def add_row_0_to_1(m):
+    rows = list(m.rows)
+    rows[1] ^= rows[0]
+    return GF2Matrix(m.nrows, m.ncols, tuple(rows))
+
+
+def test_naturality_row_takes_rank_when_inverse_pair_fails(monkeypatch):
+    # every matrix of one member c2 premultiplied by an invertible A:
+    # the member stays whole and naturality into it still holds, since
+    # A M(c2, c.ts) M(c, P) = A M(c2, P), but each inverse pair
+    # M(c, c2.ts) A M(c2, c.ts) is not I, so only rank shows that the
+    # change of basis is nonsingular and proves the row
+    g = PLANT_GRAPH
+    j = 1
+    plant(
+        monkeypatch,
+        "modified_interlacement_matrix",
+        plant_member(PLANT_ORBIT[j].ts, add_row_0_to_1),
+    )
+    table = verify._OrbitTable(g, PLANT_ORBIT)
+    others = [i for i in range(len(PLANT_ORBIT)) if i != j]
+    assert table.matrices[1][j]
+    assert not any(table.inverse[i][j] for i in others)
+    assert all(verify._naturality_row(table, i, j) for i in others)
+    outcome = sweep_property(g, hierholzer(g), "naturality")
+    assert outcome_of(outcome) == outcome_of(per_point(g, "naturality"))
+    assert not outcome.ok
+
+
 def test_naturality_needs_nonsingular_change(monkeypatch):
     # plant a zero M(c, c.ts): at (c, c, c.ts) the product 0 @ 0 matches
     # the direct 0, but the singular change of basis still fails
@@ -455,6 +485,50 @@ def test_naturality_needs_nonsingular_change(monkeypatch):
     assert not result
     assert result.witness["product"] == result.witness["direct"]
     assert result.witness["nonsingular"] is False
+
+
+def test_core_independence_rows_match_per_point():
+    # each ts is one row, proved from its partition's core vectors; the
+    # points of a row that is not proved go to the per-point check
+    for g in corpus(5):
+        rows = sweep_property(g, hierholzer(g), "core independence")
+        assert outcome_of(rows) == outcome_of(per_point(g, "core independence"))
+        assert rows.ok
+
+
+@pytest.mark.parametrize("defect", ["extra-coordinate", "zero"])
+def test_core_independence_row_negative_control(monkeypatch, defect):
+    # a planted core vector breaks the dependency space of the one ts
+    # whose two circuits are gamma, which crosses every vertex, and
+    # another.  Both cores are s != 0.  With an extra coordinate, gamma's
+    # core makes the two vectors independent (the rank tells); zeroed,
+    # it leaves them of rank 1 but no longer summing to 0.  Either way
+    # that row is not proved, and its points fail as they do point by
+    # point
+    g = random_matching_graph(4, seed=0, connected=True)
+    ts, gamma = next(
+        (ts, p.circuits[0])
+        for ts in verify._all_ts(g)
+        for p in [trace_partition(g, ts)]
+        if p.size == 2 and set(vertex_indices(p.circuits[0])) == set(range(g.n))
+    )
+    core = interlace.core_vector(g, gamma).bits
+    if defect == "zero":
+        bits = 0
+    else:
+        bits = next(core ^ 1 << v for v in range(g.n) if core ^ 1 << v)
+
+    def wrap(real):
+        def planted(g, circ):
+            return GF2Vector(g.n, bits) if circ == gamma else real(g, circ)
+
+        return planted
+
+    plant(monkeypatch, "core_vector", wrap)
+    rows = sweep_property(g, hierholzer(g), "core independence")
+    assert outcome_of(rows) == outcome_of(per_point(g, "core independence"))
+    assert not rows.ok
+    assert all(f"partition=[{verify._fmt_ts(g, ts)}]" in f for f in rows.failures)
 
 
 def skip_toggles(real):
