@@ -13,11 +13,13 @@ reproducible byte for byte.
 The exhaustive sweep splits the points of a check into *rows*: the
 tuples of its leading orbit axes, (c, c2) for naturality and the inverse
 pair and c for the local-complement transform and the label exchange,
-and for core independence the ts whose circuit subsets are its points.
+for core independence the ts whose circuit subsets are its points, and
+for Kotzig closure, a property of the graph alone, its one point.
 A row that its predicate in ``_ROW_PROOFS`` proves counts all of its
 points at once; every point of any other row goes to the per-point
 check, so verdicts and witnesses, in order, are those of a sweep of one
-call per point.  The orbit rows read the run's ``_OrbitTable``.
+call per point.  The orbit rows read the run's ``_OrbitTable``, and the
+closure row its orbit and the count of its work guard.
 
 The naturality, transform and label-exchange predicates act column by
 column.  Column v of M(c, ts), like the label at v, depends only on
@@ -27,13 +29,17 @@ t), an identity whose other side also acts on each column alone holds
 at every ts once it holds at the three constant systems.
 ``mat_mul(X, .)`` and ``modified_local_complement(., c, v)`` do, which
 ``test_row_operations_commute_with_column_assembly`` pins, and the
-exchange rule reads each vertex's label alone.  Naturality checks the
-three constant systems in one product, X W_c = W_c2, with W_c the
-packed block [M(c, P_0) | M(c, P_1) | M(c, P_2)].  The table computes
-the inverse pair's product M(c, c2.ts) M(c2, c.ts) once per ordered
-pair; the inverse sweep reads it, and where it is I it also shows that
-naturality's change of basis X = M(c2, c.ts) is nonsingular, so ``rank``
-runs only where it is not.
+exchange rule reads each vertex's label alone.  So the table keeps, per
+whole member, only the packed block W_c = [M(c, P_0) | M(c, P_1) | M(c, P_2)]
+and assembles from it any other entry a row reads.
+
+Naturality and the inverse pair are one identity of the paper:
+M(c2, P) = M(c2, c.ts) M(c, P) taken at P = c2.ts, where M(c2, c2.ts) = I,
+says that M(c, c2.ts) and M(c2, c.ts) are inverses.  So one product per
+ordered pair decides both rows: X W_c = W_c2, for the change of basis
+X = M(c2, c.ts), is naturality at the three constant systems and so at
+every ts; where also M(c2, c2.ts) = I it reads X M(c, c2.ts) = I at
+ts = c2.ts, so X is nonsingular and the pair is inverse.
 
 A core-independence row holds when the core vectors of the k circuits
 have rank k minus the number of components and each component's
@@ -51,7 +57,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import interlace
 from .errors import NotEulerSystem, TooLarge
 from .euler import EulerSystem, hierholzer, kappa_transform, kotzig_orbit
-from .gf2 import GF2Matrix, mat_mul, rank
+from .gf2 import GF2Matrix, mat_mul
 from .graph4 import (
     Graph4R,
     TRANSITIONS,
@@ -253,12 +259,11 @@ def _rows(g, c0, orbit, axes):
             yield (p,), (ts,), [(subset,) for subset in _subset_iter(p.size)]
         return
     lead = len(list(itertools.takewhile({"c", "c2"}.__contains__, axes)))
-    points = _points(g, c0, orbit, axes[lead:])
+    # a list: a proved row counts its points, and every row walks them
+    points = list(_points(g, c0, orbit, axes[lead:]))
     if not lead:
         yield (), (), points
         return
-    # every row walks the same points
-    points = list(points)
     for row in itertools.product(range(len(orbit)), repeat=lead):
         yield row, [orbit[i] for i in row], points
 
@@ -272,18 +277,19 @@ class _OrbitTable:
     ``label_transitions(c, ts)`` for every member c of one orbit and every
     ts of ``all_ts``, in ``itertools.product`` order.
 
-    ``whole[i]`` tells whether every entry of member i is its column
-    assembly.  Each half is built on first use.  The matrix half keeps
-    every entry, the label half only the three constant entries of each
-    member; from the matrices come each whole member's packed block and
-    each ordered pair's inverse verdict.  The builders are read through
-    ``interlace``, where the per-point checks read them, so both routes
-    run the same functions.
+    Each half is built on first use, one member at a time, and checks
+    every entry against its column assembly.  It keeps, per *whole*
+    member (every entry is its column assembly), only its three constant
+    entries, packed for the matrices as W_c; None for any other member.
+    The builders are read through ``interlace``, where the per-point
+    checks read them, so both routes run the same functions.  ``count``
+    is ``euler_count(g)`` where the caller has taken it.
     """
 
-    def __init__(self, g: Graph4R, orbit):
+    def __init__(self, g: Graph4R, orbit, count: Optional[int] = None):
         self.g = g
         self.orbit = orbit
+        self.count = count
         self.all_ts = list(_all_ts(g))
         self.index = {c.ts: i for i, c in enumerate(orbit)}
         # position of each member's own system in all_ts
@@ -301,17 +307,21 @@ class _OrbitTable:
             _ts_index(TransitionSystem((t,) * g.n)) for t in (0, 1, 2)
         ]
 
-    def _entries(self, build, is_whole):
-        """Per member: its entries over ``all_ts`` and its ``whole`` flag,
-        ``is_whole(entries, constants)`` with the member's three
-        constant entries."""
+    def _members(self, build, is_whole, keep):
+        """Per member, ``keep`` of its three constant entries when
+        ``is_whole(entries, constants)`` holds of its entries over
+        ``all_ts``; None otherwise."""
+        out = []
         for c in self.orbit:
             row = [build(c, ts) for ts in self.all_ts]
-            yield row, is_whole(row, [row[k] for k in self.constant])
+            consts = [row[k] for k in self.constant]
+            out.append(keep(consts) if is_whole(row, consts) else None)
+        return out
 
     @cached_property
-    def matrices(self):
-        """(entries, whole), ``entries[i][k]`` = M(orbit[i], all_ts[k])."""
+    def blocks(self):
+        """W_c per whole member: n rows of 3n bits, row r of M(c, P_t)
+        in bits tn to tn + n - 1."""
         n = self.g.n
 
         def is_whole(row, consts):
@@ -326,57 +336,48 @@ class _OrbitTable:
                 for r0, r1, r2 in triples
             ]
 
-        entries, whole = [], []
-        for row, flag in self._entries(
-            interlace.modified_interlacement_matrix, is_whole
-        ):
-            entries.append(row)
-            whole.append(flag)
-        return entries, whole
+        def pack(consts):
+            triples = zip(*(m.rows for m in consts))
+            rows = tuple(r0 | r1 << n | r2 << 2 * n for r0, r1, r2 in triples)
+            return GF2Matrix._unchecked(n, 3 * n, rows)
 
-    @cached_property
-    def blocks(self):
-        """Per whole member c, W_c = [M(c, P_0) | M(c, P_1) | M(c, P_2)]:
-        n rows of 3n bits, row r of M(c, P_t) in bits tn to tn + n - 1;
-        None for a member that is not whole."""
-        entries, whole = self.matrices
+        return self._members(
+            interlace.modified_interlacement_matrix, is_whole, pack
+        )
+
+    def entry(self, i: int, k: int) -> GF2Matrix:
+        """M(orbit[i], all_ts[k]), assembled from W of whole member i."""
         n = self.g.n
-        out = []
-        for row, flag in zip(entries, whole):
-            if not flag:
-                out.append(None)
-                continue
-            m0, m1, m2 = (row[k].rows for k in self.constant)
-            out.append(
-                GF2Matrix._unchecked(
-                    n,
-                    3 * n,
-                    tuple(
-                        r0 | r1 << n | r2 << 2 * n for r0, r1, r2 in zip(m0, m1, m2)
-                    ),
-                )
-            )
-        return out
+        m0, m1, m2 = self.masks[k]
+        rows = self.blocks[i].rows
+        return GF2Matrix._unchecked(
+            n, n, tuple(r & m0 | r >> n & m1 | r >> 2 * n & m2 for r in rows)
+        )
 
     @cached_property
-    def inverse(self):
-        """``inverse[i][j]``: M(orbit[i], orbit[j].ts) M(orbit[j],
-        orbit[i].ts) = I, the inverse pair of (orbit[i], orbit[j])."""
-        entries, _ = self.matrices
+    def pairs(self):
+        """``pairs[i][j]``, the verdict of (c, c2) = (orbit[i],
+        orbit[j]): both members are whole, M(c2, c2.ts) = I, and
+        X W_c = W_c2 for the change of basis X = M(c2, c.ts)."""
+        blocks, own = self.blocks, self.own
         identity = GF2Matrix.identity(self.g.n)
-        own = self.own
+        own_is_identity = [
+            w is not None and self.entry(j, own[j]) == identity
+            for j, w in enumerate(blocks)
+        ]
         return [
             [
-                mat_mul(entries[i][own[j]], entries[j][own_i]) == identity
-                for j in range(len(own))
+                own_is_identity[j]
+                and w is not None
+                and mat_mul(self.entry(j, own[i]), w) == blocks[j]
+                for j in range(len(blocks))
             ]
-            for i, own_i in enumerate(own)
+            for i, w in enumerate(blocks)
         ]
 
     @cached_property
     def labels(self):
-        """(constants, whole), ``constants[i][t]`` = the labels of P_t
-        wrt orbit[i]."""
+        """The labels of P_0, P_1 and P_2 wrt each whole member."""
         vertices = self.g.vertices
         keys = set(vertices)
 
@@ -389,72 +390,60 @@ class _OrbitTable:
                 lab[t] for ts in self.all_ts for lab, t in zip(by_code, ts.codes)
             ]
 
-        constants, whole = [], []
-        for row, flag in self._entries(interlace.label_transitions, is_whole):
-            constants.append([row[k] for k in self.constant])
-            whole.append(flag)
-        return constants, whole
+        return self._members(interlace.label_transitions, is_whole, list)
 
 
-def _naturality_row(table: _OrbitTable, i: int, j: int) -> bool:
-    """Row (c, c2): both members are whole, the change of basis
-    X = M(c2, c.ts) is nonsingular, and X W_c = W_c2, which is
-    X M(c, P_t) = M(c2, P_t) at each t.  X is nonsingular when the
-    row's inverse pair M(c, c2.ts) X is I; only where it is not does
-    ``rank`` decide."""
-    matrices, whole = table.matrices
-    if not (whole[i] and whole[j]):
-        return False
-    m_change = matrices[j][table.own[i]]
-    return (
-        table.inverse[i][j] or rank(m_change) == table.g.n
-    ) and mat_mul(m_change, table.blocks[i]) == table.blocks[j]
+def _pair_row(table: _OrbitTable, i: int, j: int) -> bool:
+    """Row (c, c2) of naturality and of the inverse pair, both proved
+    by the pair's verdict (see the module docstring)."""
+    return table.pairs[i][j]
 
 
-def _inverse_row(table: _OrbitTable, i: int, j: int) -> bool:
-    """Row (c, c2), its only point: M(c, c2.ts) M(c2, c.ts) = I."""
-    return table.inverse[i][j]
-
-
-def _vertex_row(table: _OrbitTable, i: int, whole, holds) -> bool:
+def _vertex_row(table: _OrbitTable, i: int, members, holds) -> bool:
     """Row c = orbit[i] of a check over (c, ts, v): c and each
-    kappa(c, v) = orbit[j] are whole members, and ``holds(j, v)``, the
-    identity at the three constant systems."""
+    kappa(c, v) = orbit[j] are whole, their ``members`` entries not None,
+    and ``holds(j, v)``, the identity at the three constant systems."""
     c = table.orbit[i]
-    if not whole[i]:
+    if members[i] is None:
         return False
     for v in table.g.vertices:
         j = table.index.get(kappa_transform(c, v).ts)
-        if j is None or not whole[j] or not holds(j, v):
+        if j is None or members[j] is None or not holds(j, v):
             return False
     return True
 
 
 def _transform_row(table: _OrbitTable, i: int) -> bool:
-    matrices, whole = table.matrices
+    blocks = table.blocks
     c = table.orbit[i]
 
     def holds(j, v):
-        return all(
-            interlace.modified_local_complement(matrices[i][k], c, v)
-            == matrices[j][k]
-            for k in table.constant
-        )
+        return interlace.modified_local_complement(blocks[i], c, v) == blocks[j]
 
-    return _vertex_row(table, i, whole, holds)
+    return _vertex_row(table, i, blocks, holds)
 
 
 def _label_row(table: _OrbitTable, i: int) -> bool:
-    constants, whole = table.labels
+    labels = table.labels
     c = table.orbit[i]
 
     def holds(j, v):
         return all(
             _exchanged_labels(c, v, before) == after
-            for before, after in zip(constants[i], constants[j])
+            for before, after in zip(labels[i], labels[j])
         )
 
-    return _vertex_row(table, i, whole, holds)
+    return _vertex_row(table, i, labels, holds)
+
+
+def _closure_row(table: Optional[_OrbitTable]) -> bool:
+    """Kotzig closure's one point: the run's orbit has as many members
+    as its count, the work guard's or else one taken here, within
+    ``_ORBIT_LIMIT``."""
+    if table is None:
+        return False
+    count = euler_count(table.g) if table.count is None else table.count
+    return len(table.orbit) == count <= _ORBIT_LIMIT
 
 
 def _core_row(table, p) -> bool:
@@ -482,11 +471,12 @@ def _core_row(table, p) -> bool:
 # runs point by point.  A predicate takes the table and the row of
 # ``_rows``.
 _ROW_PROOFS = {
-    check_naturality: _naturality_row,
-    check_inverse: _inverse_row,
+    check_naturality: _pair_row,
+    check_inverse: _pair_row,
     check_local_complement_transform: _transform_row,
     check_label_exchange: _label_row,
     check_core_independence: _core_row,
+    _check_closure: _closure_row,
 }
 
 
@@ -581,15 +571,18 @@ def run_exhaustive(
 
     The transform orbit of ``hierholzer(g)`` and its table of matrices
     and labels are built once and shared by every property, whose rows
-    it proves where it can (see the module docstring).
+    it proves where it can (see the module docstring); the closure row
+    reads the orbit and the work guard's count.
 
     Raises:
         TooLarge: the number of checks, estimated from ``euler_count``
             before any orbit exists, exceeds ``_WORK_LIMIT`` (pass
             ``force=True`` to run anyway).
     """
+    count = None
     if not force:
-        estimate = _work_estimate(g, euler_count(g))
+        count = euler_count(g)
+        estimate = _work_estimate(g, count)
         if estimate > _WORK_LIMIT:
             raise TooLarge(
                 f"exhaustive sweep needs about {estimate} checks "
@@ -598,7 +591,7 @@ def run_exhaustive(
     c0 = hierholzer(g)
     meta = [_graph_line(g), "mode: exhaustive"]
     try:
-        table = _OrbitTable(g, kotzig_orbit(g, c0))
+        table = _OrbitTable(g, kotzig_orbit(g, c0), count)
         meta.append(f"orbit size: {len(table.orbit)}")
     except NotEulerSystem:
         table = None  # each property over the orbit skips, naming the member

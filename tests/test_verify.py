@@ -145,20 +145,6 @@ def test_random_graphs_skip_closure_when_large():
     )
 
 
-def test_exhaustive_builds_orbit_once(monkeypatch):
-    # one orbit shared by every property, plus the closure check's own
-    calls = []
-    real = verify.kotzig_orbit
-
-    def counted(g, c):
-        calls.append(c)
-        return real(g, c)
-
-    monkeypatch.setattr(verify, "kotzig_orbit", counted)
-    assert run_exhaustive(graph_four_parallel()).passed
-    assert len(calls) == 2
-
-
 def test_label_exchange_witness_line(monkeypatch):
     # plant a wrong label: v always reads phi, so every transform at v,
     # which must turn phi into psi there, fails
@@ -372,33 +358,41 @@ def test_vertex_table_sweeps_on_open_orbit(monkeypatch):
         assert outcome.checks == len(orbit) * g.n * (3 ** g.n + extra)
 
 
+def counter(monkeypatch, module, name):
+    """Replace ``module.<name>`` by a wrapper that records each call's
+    arguments in the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_exhaustive_builds_table_once(monkeypatch):
     # the run's table builds each M(c, ts) once for all the properties
     # that read it, the inverse pair included; core-kernel equality and
     # circuit nullity build one per ts
-    calls = []
-    real = interlace.modified_interlacement_matrix
-
-    def counted(c, ts):
-        calls.append(ts)
-        return real(c, ts)
-
-    monkeypatch.setattr(interlace, "modified_interlacement_matrix", counted)
+    calls = counter(monkeypatch, interlace, "modified_interlacement_matrix")
     # likewise each labelling, read by the label exchange alone: a row
     # that falls back to the per-point check would label it again
-    labels = []
-    real_labels = interlace.label_transitions
-
-    def counted_labels(c, ts):
-        labels.append(ts)
-        return real_labels(c, ts)
-
-    monkeypatch.setattr(interlace, "label_transitions", counted_labels)
+    labels = counter(monkeypatch, interlace, "label_transitions")
+    # one product per ordered pair proves its naturality and inverse
+    # rows; one orbit and one count serve the whole run, the closure
+    # check included
+    products = counter(monkeypatch, verify, "mat_mul")
+    orbits = counter(monkeypatch, verify, "kotzig_orbit")
+    counts = counter(monkeypatch, verify, "euler_count")
     g = graph_four_parallel()
     assert run_exhaustive(g).passed
     size, points = 6, 3 ** g.n
     assert len(calls) == size * points + 2 * points
     assert len(labels) == size * points
+    assert len(products) == size ** 2
+    assert (len(orbits), len(counts)) == (1, 1)
 
 
 def test_inverse_table_matches_per_point():
@@ -452,12 +446,12 @@ def add_row_0_to_1(m):
     return GF2Matrix(m.nrows, m.ncols, tuple(rows))
 
 
-def test_naturality_row_takes_rank_when_inverse_pair_fails(monkeypatch):
+def test_pair_rows_into_member_whose_own_entry_is_not_identity(monkeypatch):
     # every matrix of one member c2 premultiplied by an invertible A:
-    # the member stays whole and naturality into it still holds, since
-    # A M(c2, c.ts) M(c, P) = A M(c2, P), but each inverse pair
-    # M(c, c2.ts) A M(c2, c.ts) is not I, so only rank shows that the
-    # change of basis is nonsingular and proves the row
+    # the member stays whole and each product M(c2, c.ts) W_c = W_c2
+    # still holds, but its own entry M(c2, c2.ts) = A is not I, so no
+    # pair row into it is proved and its points go to the per-point
+    # checks: naturality into it holds there, the inverse pair does not
     g = PLANT_GRAPH
     j = 1
     plant(
@@ -466,13 +460,13 @@ def test_naturality_row_takes_rank_when_inverse_pair_fails(monkeypatch):
         plant_member(PLANT_ORBIT[j].ts, add_row_0_to_1),
     )
     table = verify._OrbitTable(g, PLANT_ORBIT)
-    others = [i for i in range(len(PLANT_ORBIT)) if i != j]
-    assert table.matrices[1][j]
-    assert not any(table.inverse[i][j] for i in others)
-    assert all(verify._naturality_row(table, i, j) for i in others)
-    outcome = sweep_property(g, hierholzer(g), "naturality")
-    assert outcome_of(outcome) == outcome_of(per_point(g, "naturality"))
-    assert not outcome.ok
+    assert table.blocks[j] is not None
+    assert table.entry(j, table.own[j]) != GF2Matrix.identity(g.n)
+    assert not any(table.pairs[i][j] for i in range(len(PLANT_ORBIT)))
+    for prop in ("naturality", "inverse"):
+        outcome = sweep_property(g, hierholzer(g), prop)
+        assert outcome_of(outcome) == outcome_of(per_point(g, prop))
+        assert not outcome.ok
 
 
 def test_naturality_needs_nonsingular_change(monkeypatch):
