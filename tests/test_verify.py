@@ -380,18 +380,22 @@ def test_exhaustive_builds_table_once(monkeypatch):
     # likewise each labelling, read by the label exchange alone: a row
     # that falls back to the per-point check would label it again
     labels = counter(monkeypatch, interlace, "label_transitions")
-    # one product per ordered pair proves its naturality and inverse
-    # rows; one orbit and one count serve the whole run, the closure
-    # check included
+    # one product per ordered pair proves its naturality and inverse rows
     products = counter(monkeypatch, verify, "mat_mul")
-    orbits = counter(monkeypatch, verify, "kotzig_orbit")
-    counts = counter(monkeypatch, verify, "euler_count")
     g = graph_four_parallel()
     assert run_exhaustive(g).passed
     size, points = 6, 3 ** g.n
     assert len(calls) == size * points + 2 * points
     assert len(labels) == size * points
     assert len(products) == size ** 2
+
+
+def test_exhaustive_builds_orbit_once(monkeypatch):
+    # one orbit and one count serve every property, the closure check
+    # included
+    orbits = counter(monkeypatch, verify, "kotzig_orbit")
+    counts = counter(monkeypatch, verify, "euler_count")
+    assert run_exhaustive(graph_four_parallel()).passed
     assert (len(orbits), len(counts)) == (1, 1)
 
 
