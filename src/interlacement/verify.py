@@ -33,13 +33,16 @@ exchange rule reads each vertex's label alone.  So the table keeps, per
 whole member, only the packed block W_c = [M(c, P_0) | M(c, P_1) | M(c, P_2)]
 and assembles from it any other entry a row reads.
 
-Naturality and the inverse pair are one identity of the paper:
-M(c2, P) = M(c2, c.ts) M(c, P) taken at P = c2.ts, where M(c2, c2.ts) = I,
-says that M(c, c2.ts) and M(c2, c.ts) are inverses.  So one product per
-ordered pair decides both rows: X W_c = W_c2, for the change of basis
-X = M(c2, c.ts), is naturality at the three constant systems and so at
-every ts; where also M(c2, c2.ts) = I it reads X M(c, c2.ts) = I at
-ts = c2.ts, so X is nonsingular and the pair is inverse.
+Naturality and the inverse pair rest on one identity of the paper,
+M(c2, P) = M(c2, c.ts) M(c, P): every W_c spans one row space, the
+binary transition matroid of the graph (Traldi, "The transition matroid
+of a 4-regular graph", 2015).  Conversely, a whole member with
+M(c, c.ts) = I has a W_c of full row rank, so if W_c and W_c2 have one
+reduced echelon form, their *form*, then W_c2 = X W_c for a unique X,
+and the columns of c.ts read X = M(c2, c.ts).  That is naturality at
+the three constant systems and so at every ts; at ts = c2.ts it reads
+X M(c, c2.ts) = I, so X is nonsingular and the pair is inverse.  So one
+form per member decides every pair row.
 
 A core-independence row holds when the core vectors of the k circuits
 have rank k minus the number of components and each component's
@@ -57,7 +60,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import interlace
 from .errors import NotEulerSystem, TooLarge
 from .euler import EulerSystem, hierholzer, kappa_transform, kotzig_orbit
-from .gf2 import GF2Matrix, mat_mul
+from .gf2 import GF2Matrix, _rref_rows
 from .graph4 import (
     Graph4R,
     TRANSITIONS,
@@ -355,24 +358,16 @@ class _OrbitTable:
         )
 
     @cached_property
-    def pairs(self):
-        """``pairs[i][j]``, the verdict of (c, c2) = (orbit[i],
-        orbit[j]): both members are whole, M(c2, c2.ts) = I, and
-        X W_c = W_c2 for the change of basis X = M(c2, c.ts)."""
-        blocks, own = self.blocks, self.own
+    def forms(self):
+        """Per member, the reduced echelon rows of W_c when it is whole
+        and M(c, c.ts) = I, so that W_c has full row rank; None
+        otherwise."""
         identity = GF2Matrix.identity(self.g.n)
-        own_is_identity = [
-            w is not None and self.entry(j, own[j]) == identity
-            for j, w in enumerate(blocks)
-        ]
         return [
-            [
-                own_is_identity[j]
-                and w is not None
-                and mat_mul(self.entry(j, own[i]), w) == blocks[j]
-                for j in range(len(blocks))
-            ]
-            for i, w in enumerate(blocks)
+            None
+            if w is None or self.entry(i, self.own[i]) != identity
+            else _rref_rows(w.rows, w.ncols)[0]
+            for i, w in enumerate(self.blocks)
         ]
 
     @cached_property
@@ -395,8 +390,9 @@ class _OrbitTable:
 
 def _pair_row(table: _OrbitTable, i: int, j: int) -> bool:
     """Row (c, c2) of naturality and of the inverse pair, both proved
-    by the pair's verdict (see the module docstring)."""
-    return table.pairs[i][j]
+    when the two members have one form (see the module docstring)."""
+    forms = table.forms
+    return forms[i] is not None and forms[i] == forms[j]
 
 
 def _vertex_row(table: _OrbitTable, i: int, members, holds) -> bool:

@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -9,6 +10,7 @@ from interlacement import (
     build_graph,
     random_matching_graph,
 )
+from interlacement.cli import parse_graph
 
 # tests that start ``python -m interlacement`` need the child to import
 # this same checkout, whether or not PYTHONPATH was set for the run
@@ -129,6 +131,14 @@ def corpus(max_n: int):
         for seed in range(seeds_by_n.get(n, 0)):
             graphs.append(random_matching_graph(n, seed=seed))
     return graphs
+
+
+def pool_graphs(workload: str):
+    """The graphs of one benchmark workload's pool in perfbench/refs.json."""
+    refs = os.path.join(os.path.dirname(_SRC), "perfbench", "refs.json")
+    with open(refs, encoding="utf-8") as fh:
+        pool = json.load(fh)["workloads"][workload]
+    return [parse_graph(entry["graph"]) for entry in pool]
 
 
 def two_component_graphs():

@@ -1,6 +1,4 @@
 import itertools
-import json
-import os
 import subprocess
 import sys
 
@@ -34,10 +32,10 @@ from interlacement import (
     transition_for_label,
 )
 import interlacement.euler
-from interlacement.cli import parse_graph
 from conftest import (
     corpus,
     plant_walk_without_swap,
+    pool_graphs,
     two_component_graphs,
     vertex_indices,
 )
@@ -310,17 +308,7 @@ def _walk_mismatch(g):
     return None
 
 
-def _orbit_pool_graphs():
-    # the four graphs of the benchmark's orbit workload
-    refs = os.path.join(
-        os.path.dirname(os.path.dirname(__file__)), "perfbench", "refs.json"
-    )
-    with open(refs, encoding="utf-8") as fh:
-        pool = json.load(fh)["workloads"]["orbit"]
-    return [parse_graph(entry["graph"]) for entry in pool]
-
-
-_WALK_GRAPHS = corpus(6) + two_component_graphs() + _orbit_pool_graphs()
+_WALK_GRAPHS = corpus(6) + two_component_graphs() + pool_graphs("orbit")
 
 
 @pytest.mark.parametrize("g", _WALK_GRAPHS, ids=lambda g: f"n{g.n}-c{g.c}")

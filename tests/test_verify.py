@@ -24,7 +24,7 @@ from interlacement.verify import (
     run_samples,
     sweep_property,
 )
-from conftest import corpus, graph_four_parallel, vertex_indices
+from conftest import corpus, graph_four_parallel, pool_graphs, vertex_indices
 
 
 # report order; the check counts below are pinned, and any rework of the
@@ -230,6 +230,22 @@ def plant_member(target, change):
     return wrap
 
 
+def plant_column(target, t):
+    # entry (0, 0) of every M(c, ts) of the orbit member whose system is
+    # target flipped where ts has code t at the first vertex: a change of
+    # one column of W_c that keeps it whole
+    def wrap(real):
+        def planted(c, ts):
+            m = real(c, ts)
+            if c.ts == target and ts.codes[0] == t:
+                return verify._corrupted(m)
+            return m
+
+        return planted
+
+    return wrap
+
+
 def zero(m):
     return GF2Matrix(m.nrows, m.ncols, (0,) * m.nrows)
 
@@ -291,14 +307,14 @@ PLANT_CONSTANT = TransitionSystem((1, 1, 1))
         (
             "modified_interlacement_matrix",
             plant_entry((PLANT_ORBIT[1].ts, PLANT_CONSTANT)),
-            {"local-complement transform", "naturality"},
+            {"local-complement transform", "naturality", "inverse"},
         ),
         (
             # a singular change of basis M(c2, c.ts) at c = PLANT_ORBIT[0],
             # whose system is constant: a product can still match
             "modified_interlacement_matrix",
             plant_entry((PLANT_ORBIT[1].ts, PLANT_ORBIT[0].ts), zero),
-            {"local-complement transform", "naturality"},
+            {"local-complement transform", "naturality", "inverse"},
         ),
         (
             # every matrix of one member zero: each change of basis into
@@ -306,7 +322,15 @@ PLANT_CONSTANT = TransitionSystem((1, 1, 1))
             # system
             "modified_interlacement_matrix",
             plant_member(PLANT_ORBIT[1].ts, zero),
-            {"local-complement transform", "naturality"},
+            {"local-complement transform", "naturality", "inverse"},
+        ),
+        (
+            # the member stays whole and M(c, c.ts) = I, since c.ts has
+            # code 0 at the first vertex, but its form is no other
+            # member's, so its pair rows go point by point
+            "modified_interlacement_matrix",
+            plant_column(PLANT_ORBIT[1].ts, 1),
+            {"local-complement transform", "naturality", "inverse"},
         ),
         (
             "modified_local_complement",
@@ -329,6 +353,7 @@ PLANT_CONSTANT = TransitionSystem((1, 1, 1))
         "entry-at-constant",
         "singular-change",
         "singular-member",
+        "column-off-own",
         "wrong-neighbour",
         "label-off-constant",
         "label-at-constant",
@@ -339,7 +364,8 @@ def test_table_sweeps_negative_controls(monkeypatch, name, wrap, failing):
     # the same witnesses in the same order, as the per-point route
     plant(monkeypatch, name, wrap)
     g = PLANT_GRAPH
-    for prop in ("local-complement transform", "naturality", "label exchange"):
+    props = ("local-complement transform", "naturality", "inverse", "label exchange")
+    for prop in props:
         table = sweep_property(g, hierholzer(g), prop)
         assert outcome_of(table) == outcome_of(per_point(g, prop))
         assert table.ok == (prop not in failing)
@@ -380,14 +406,15 @@ def test_exhaustive_builds_table_once(monkeypatch):
     # likewise each labelling, read by the label exchange alone: a row
     # that falls back to the per-point check would label it again
     labels = counter(monkeypatch, interlace, "label_transitions")
-    # one product per ordered pair proves its naturality and inverse rows
-    products = counter(monkeypatch, verify, "mat_mul")
+    # one form per member proves every naturality and inverse row: a row
+    # that falls back to the per-point checks would take products
+    products = counter(monkeypatch, interlace, "mat_mul")
     g = graph_four_parallel()
     assert run_exhaustive(g).passed
     size, points = 6, 3 ** g.n
     assert len(calls) == size * points + 2 * points
     assert len(labels) == size * points
-    assert len(products) == size ** 2
+    assert products == []
 
 
 def test_exhaustive_builds_orbit_once(monkeypatch):
@@ -452,9 +479,9 @@ def add_row_0_to_1(m):
 
 def test_pair_rows_into_member_whose_own_entry_is_not_identity(monkeypatch):
     # every matrix of one member c2 premultiplied by an invertible A:
-    # the member stays whole and each product M(c2, c.ts) W_c = W_c2
-    # still holds, but its own entry M(c2, c2.ts) = A is not I, so no
-    # pair row into it is proved and its points go to the per-point
+    # the member stays whole and A W_c2 keeps the row space of W_c2, but
+    # its own entry M(c2, c2.ts) = A is not I, so it has no form, no
+    # pair row with it is proved and its points go to the per-point
     # checks: naturality into it holds there, the inverse pair does not
     g = PLANT_GRAPH
     j = 1
@@ -466,11 +493,21 @@ def test_pair_rows_into_member_whose_own_entry_is_not_identity(monkeypatch):
     table = verify._OrbitTable(g, PLANT_ORBIT)
     assert table.blocks[j] is not None
     assert table.entry(j, table.own[j]) != GF2Matrix.identity(g.n)
-    assert not any(table.pairs[i][j] for i in range(len(PLANT_ORBIT)))
+    assert table.forms[j] is None
     for prop in ("naturality", "inverse"):
         outcome = sweep_property(g, hierholzer(g), prop)
         assert outcome_of(outcome) == outcome_of(per_point(g, prop))
         assert not outcome.ok
+
+
+def test_orbit_shares_one_form():
+    # the identity behind the pair rows: every W_c of an orbit spans one
+    # row space, the graph's transition matroid, of rank n, so every
+    # member has a form and all of them have the same one
+    for g in corpus(5) + pool_graphs("verify-exhaustive"):
+        forms = verify._OrbitTable(g, kotzig_orbit(g, hierholzer(g))).forms
+        assert forms[0] is not None and len(forms[0]) == g.n
+        assert all(form == forms[0] for form in forms)
 
 
 def test_naturality_needs_nonsingular_change(monkeypatch):
