@@ -168,22 +168,30 @@ class EulerSystem:
 
         Vertices v and w are adjacent when both lie on the same circuit
         and their occurrences alternate v..w..v..w around it; vertices of
-        different components are never adjacent.
+        different components are never adjacent.  So the row of v is the
+        XOR of the vertices its circuit visits strictly between v's two
+        visits, where a vertex visited twice cancels.
+
+        Raises:
+            NotEulerSystem: a circuit crosses a vertex once, or more than
+                twice.
         """
         rows = [0] * self.graph.n
         for circ in self.circuits:
-            seq = [h >> 2 for h, _ in circ.crossings]
+            # prefix[k]: XOR of the vertices of the first k crossings
+            prefix = [0]
             pos: Dict[int, List[int]] = {}
-            for k, vi in enumerate(seq):
-                pos.setdefault(vi, []).append(k)
-            members = sorted(pos)
-            for a_idx, v in enumerate(members):
-                p1, p2 = pos[v]
-                for w in members[a_idx + 1 :]:
-                    between = sum(1 for q in pos[w] if p1 < q < p2)
-                    if between == 1:
-                        rows[v] |= 1 << w
-                        rows[w] |= 1 << v
+            for k, (h, _) in enumerate(circ.crossings):
+                pos.setdefault(h >> 2, []).append(k)
+                prefix.append(prefix[-1] ^ 1 << (h >> 2))
+            for vi, visits in pos.items():
+                if len(visits) != 2:
+                    raise NotEulerSystem(
+                        f"a circuit crosses vertex {self.graph.vertices[vi]!r} "
+                        f"{len(visits)} times, not twice"
+                    )
+                p1, p2 = visits
+                rows[vi] = prefix[p2] ^ prefix[p1 + 1]
         return tuple(rows)
 
 

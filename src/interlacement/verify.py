@@ -78,8 +78,6 @@ from .interlace import (
     check_label_exchange,
     check_local_complement_transform,
     check_naturality,
-    modified_interlacement_matrix,
-    modified_local_complement,
     _exchanged_labels,
 )
 from .profile import euler_count
@@ -233,28 +231,16 @@ def _all_ts(g: Graph4R):
     return map(TransitionSystem, itertools.product((0, 1, 2), repeat=g.n))
 
 
-def _points(g, c0, orbit, axes):
-    """Every argument tuple over ``axes``, outermost axis first."""
-    all_ts = _all_ts(g)
-    if axes == ("ts", "subset"):
-        return (
-            (ts, subset)
-            for ts in all_ts
-            for subset in _subset_iter(trace_partition(g, ts).size)
-        )
-    domains = {"c": orbit, "c2": orbit, "c0": (c0,), "ts": all_ts, "v": g.vertices}
-    return itertools.product(*(domains[axis] for axis in axes))
-
-
 def _rows(g, c0, orbit, axes):
-    """(row, leading arguments, points) of a check over ``axes``, in the
-    order of ``_points``.
+    """(row, leading arguments, points) of a check over ``axes``: every
+    argument tuple, outermost axis first.
 
     A row is the orbit indices of the leading c and c2 axes, with those
-    members as its leading arguments; for the axes (ts, subset) it is
-    the partition that ts traces, with ts as its leading argument and
-    one point per subset of its circuits.  A check with neither has one
-    row, (), holding every point.
+    members as its leading arguments, and the points range over the
+    remaining axes; a check with neither has one row, (), holding every
+    point.  For the axes (ts, subset) a row is the partition that ts
+    traces, with ts as its leading argument and one point per subset of
+    its circuits.
     """
     if axes == ("ts", "subset"):
         for ts in _all_ts(g):
@@ -262,11 +248,9 @@ def _rows(g, c0, orbit, axes):
             yield (p,), (ts,), [(subset,) for subset in _subset_iter(p.size)]
         return
     lead = len(list(itertools.takewhile({"c", "c2"}.__contains__, axes)))
+    domains = {"c0": (c0,), "ts": _all_ts(g), "v": g.vertices}
     # a list: a proved row counts its points, and every row walks them
-    points = list(_points(g, c0, orbit, axes[lead:]))
-    if not lead:
-        yield (), (), points
-        return
+    points = list(itertools.product(*(domains[axis] for axis in axes[lead:])))
     for row in itertools.product(range(len(orbit)), repeat=lead):
         yield row, [orbit[i] for i in row], points
 
@@ -520,8 +504,10 @@ def sweep_property(g: Graph4R, c0: EulerSystem, name: str) -> PropertyOutcome:
 def _negative_control(g, c, ts, v) -> CheckResult:
     """The local-complement transform check with one matrix entry
     flipped, so that it must fail."""
-    lhs = modified_local_complement(modified_interlacement_matrix(c, ts), c, v)
-    rhs = modified_interlacement_matrix(kappa_transform(c, v), ts)
+    lhs = interlace.modified_local_complement(
+        interlace.modified_interlacement_matrix(c, ts), c, v
+    )
+    rhs = interlace.modified_interlacement_matrix(kappa_transform(c, v), ts)
     return CheckResult(
         _corrupted(lhs) == rhs,
         {

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 
@@ -7,8 +8,13 @@ from interlacement import (
     GF2Matrix,
     Graph4R,
     HalfEdge,
+    TransitionSystem,
     build_graph,
+    hierholzer,
+    kotzig_orbit,
     random_matching_graph,
+    sweep_property,
+    verify,
 )
 from interlacement.cli import parse_graph
 
@@ -25,6 +31,38 @@ def matrix_from_rows(rows) -> GF2Matrix:
     rows = [list(row) for row in rows]
     bits = tuple(sum(x << j for j, x in enumerate(row)) for row in rows)
     return GF2Matrix(len(rows), len(rows[0]) if rows else 0, bits)
+
+
+def all_ts(g):
+    """Every transition system of ``g``, in ``itertools.product`` order."""
+    for codes in itertools.product((0, 1, 2), repeat=g.n):
+        yield TransitionSystem(codes)
+
+
+def per_point(g, name):
+    """Property ``name`` swept with one check call at every point of
+    ``verify._rows``, the route that the sweep's row proofs replace."""
+    c0 = hierholzer(g)
+    orbit = kotzig_orbit(g, c0)
+    outcome = verify.PropertyOutcome(name)
+    for check, axes in verify.PROPERTIES[name]:
+        for _, lead, points in verify._rows(g, c0, orbit, axes):
+            for args in points:
+                verify._record(outcome, g, check(g, *lead, *args))
+    return outcome
+
+
+def outcome_of(outcome):
+    return outcome.checks, outcome.ok, outcome.failures
+
+
+def assert_rows_match_per_point(g, name):
+    """The per-point oracle of property ``name`` on ``g``: the sweep,
+    which proves rows where it can, reports what one check call per
+    point reports, and passes."""
+    swept = sweep_property(g, hierholzer(g), name)
+    assert outcome_of(swept) == outcome_of(per_point(g, name))
+    assert swept.ok, swept.failures
 
 
 def vertex_indices(circuit):

@@ -5,7 +5,6 @@ the stated corpora are swept in full.  The terminal summary prints one
 PASS/FAIL line per gate (see conftest).
 """
 
-import itertools
 import random
 import subprocess
 import sys
@@ -37,6 +36,7 @@ from interlacement.cli import format_graph
 from interlacement.euler import TransitionLabel
 from conftest import (
     ACCEPTANCE_GATES,
+    all_ts,
     corpus,
     graph_two_loops,
     vertex_indices,
@@ -90,11 +90,6 @@ ACCEPTANCE_GATES.update(
         ),
     }
 )
-
-
-def all_ts(g):
-    for codes in itertools.product((0, 1, 2), repeat=g.n):
-        yield TransitionSystem(codes)
 
 
 def swept(g, name):

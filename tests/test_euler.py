@@ -1,4 +1,3 @@
-import itertools
 import subprocess
 import sys
 
@@ -33,6 +32,7 @@ from interlacement import (
 )
 import interlacement.euler
 from conftest import (
+    all_ts,
     corpus,
     plant_walk_without_swap,
     pool_graphs,
@@ -45,11 +45,6 @@ from oracles import (
     kappa_by_walk_reversal,
     kotzig_orbit_by_tracing,
 )
-
-
-def all_ts(g):
-    for codes in itertools.product((0, 1, 2), repeat=g.n):
-        yield TransitionSystem(codes)
 
 
 def test_hierholzer_golden_loops(g_loops):
@@ -112,6 +107,9 @@ def test_malformed_circuits_raise_under_optimize():
         "                                          Circuit(((6, 7),))))\n"
         "apart = CircuitPartition(g, p.source, (Circuit(((0, 1), (2, 3))),\n"
         "                                      Circuit(((4, 5), (6, 7)))))\n"
+        "# one circuit crossing v once, and one crossing u three times\n"
+        "once = Circuit(((0, 1), (4, 5), (2, 3)))\n"
+        "thrice = Circuit(((0, 1), (4, 5), (2, 3), (6, 7), (0, 2)))\n"
         "for make in (lambda: core_vector(g, Circuit(((0, 1),) * 3)),\n"
         "             lambda: EulerSystem(g, c.ts, c.circuits * 2).psi_codes,\n"
         "             lambda: EulerSystem(g, c.ts, (twice,)).psi_codes,\n"
@@ -124,7 +122,9 @@ def test_malformed_circuits_raise_under_optimize():
         "             lambda: euler_from_partition(g2, across),\n"
         "             lambda: euler_from_partition(g, beyond),\n"
         "             lambda: euler_from_partition(g, none_at_u),\n"
-        "             lambda: euler_from_partition(g, apart)):\n"
+        "             lambda: euler_from_partition(g, apart),\n"
+        "             lambda: EulerSystem(g, c.ts, (once,)).interlacement_rows,\n"
+        "             lambda: EulerSystem(g, c.ts, (thrice,)).interlacement_rows):\n"
         "    try:\n"
         "        make()\n"
         "    except (GraphMismatch, NotEulerSystem) as exc:\n"
@@ -148,6 +148,8 @@ def test_malformed_circuits_raise_under_optimize():
         "GraphMismatch circuits of the partition start at no vertex of the graph",
         "GraphMismatch circuits cross vertex 'u' 0 times",
         "GraphMismatch no vertex joins two circuits in the component of 'u'",
+        "NotEulerSystem a circuit crosses vertex 'v' 1 times, not twice",
+        "NotEulerSystem a circuit crosses vertex 'u' 3 times, not twice",
     ], proc.stderr
 
 
@@ -313,8 +315,10 @@ _WALK_GRAPHS = corpus(6) + two_component_graphs() + pool_graphs("orbit")
 
 @pytest.mark.parametrize("g", _WALK_GRAPHS, ids=lambda g: f"n{g.n}-c{g.c}")
 def test_orbit_walk_matches_tracing(g):
-    # codes, psi codes and interlacement rows of every member, walked by
-    # the label exchange, equal those of the member traced on its own
+    # the keys decode to the codes of the orbit traced by the oracle, in
+    # order; codes, psi codes and interlacement rows of every member,
+    # walked by the label exchange, equal those of the member traced on
+    # its own.  The one place the tracing orbit is built for each graph
     assert _walk_mismatch(g) is None
 
 
@@ -358,12 +362,12 @@ def test_orbit_codes_graph_mismatch(g_4par, g_loops):
 @pytest.mark.parametrize("g", _WALK_GRAPHS, ids=lambda g: f"n{g.n}-c{g.c}")
 def test_orbit_keys_decode_to_orbit_codes(g):
     # the packed keys sort as the code tuples do, and decode to the codes
-    # of the orbit traced by the oracle, and of kotzig_orbit, in order
+    # of kotzig_orbit, in order; test_orbit_walk_matches_tracing holds
+    # them to the traced orbit
     c = hierholzer(g)
     keys = orbit_keys(g, c)
     assert keys == sorted(keys)
     codes = [_unpack(key, g.n) for key in keys]
-    assert codes == [e.ts.codes for e in kotzig_orbit_by_tracing(g, c)]
     assert codes == [e.ts.codes for e in kotzig_orbit(g, c)]
 
 

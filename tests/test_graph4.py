@@ -27,13 +27,8 @@ from interlacement import (
     unite_circuits,
 )
 from interlacement.graph4 import SLOTS
-from conftest import corpus, vertex_indices
+from conftest import all_ts, corpus, vertex_indices
 from oracles import circuit_count
-
-
-def all_ts(g):
-    for codes in itertools.product((0, 1, 2), repeat=g.n):
-        yield TransitionSystem(codes)
 
 
 def test_transition_tables():

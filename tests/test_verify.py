@@ -24,7 +24,15 @@ from interlacement.verify import (
     run_samples,
     sweep_property,
 )
-from conftest import corpus, graph_four_parallel, pool_graphs, vertex_indices
+from conftest import (
+    all_ts,
+    corpus,
+    graph_four_parallel,
+    outcome_of,
+    per_point,
+    pool_graphs,
+    vertex_indices,
+)
 
 
 # report order; the check counts below are pinned, and any rework of the
@@ -165,44 +173,10 @@ def test_label_exchange_witness_line(monkeypatch):
     )
 
 
-def per_point(g, name):
-    """Property ``name`` swept with one check call per point of its
-    axes, the route the table sweeps replace."""
-    c0 = hierholzer(g)
-    orbit = kotzig_orbit(g, c0)
-    outcome = verify.PropertyOutcome(name)
-    for check, axes in verify.PROPERTIES[name]:
-        for args in verify._points(g, c0, orbit, axes):
-            verify._record(outcome, g, check(g, *args))
-    return outcome
-
-
-def outcome_of(outcome):
-    return outcome.checks, outcome.ok, outcome.failures
-
-
-def test_naturality_table_matches_per_point():
-    for g in corpus(4):
-        table = sweep_property(g, hierholzer(g), "naturality")
-        assert outcome_of(table) == outcome_of(per_point(g, "naturality"))
-        assert table.ok
-
-
-@pytest.mark.parametrize("name", ["local-complement transform", "label exchange"])
-def test_vertex_table_sweeps_match_per_point(name):
-    for g in corpus(4):
-        table = sweep_property(g, hierholzer(g), name)
-        assert outcome_of(table) == outcome_of(per_point(g, name))
-        assert table.ok
-
-
 def plant(monkeypatch, name, wrap):
-    """Replace ``interlace.<name>``, and verify's import of it if any, by
+    """Replace ``interlace.<name>``, through which verify reads it, by
     ``wrap(real)``."""
-    fake = wrap(getattr(interlace, name))
-    monkeypatch.setattr(interlace, name, fake)
-    if hasattr(verify, name):
-        monkeypatch.setattr(verify, name, fake)
+    monkeypatch.setattr(interlace, name, wrap(getattr(interlace, name)))
 
 
 def plant_entry(target, change=verify._corrupted):
@@ -426,13 +400,6 @@ def test_exhaustive_builds_orbit_once(monkeypatch):
     assert (len(orbits), len(counts)) == (1, 1)
 
 
-def test_inverse_table_matches_per_point():
-    for g in corpus(4):
-        table = sweep_property(g, hierholzer(g), "inverse")
-        assert outcome_of(table) == outcome_of(per_point(g, "inverse"))
-        assert table.ok
-
-
 def test_inverse_table_negative_control(monkeypatch):
     # one flipped entry M(c, c2.ts) fails the pair (c, c2), where it is
     # the left factor, and (c2, c), where it is the right one
@@ -455,14 +422,7 @@ def test_naturality_table_negative_control(monkeypatch):
     g = graph_four_parallel()
     orbit = kotzig_orbit(g, hierholzer(g))
     target = (orbit[-1].ts, orbit[0].ts)
-    real = interlace.modified_interlacement_matrix
-
-    def flipped(c, ts):
-        m = real(c, ts)
-        return verify._corrupted(m) if (c.ts, ts) == target else m
-
-    monkeypatch.setattr(verify, "modified_interlacement_matrix", flipped)
-    monkeypatch.setattr(interlace, "modified_interlacement_matrix", flipped)
+    plant(monkeypatch, "modified_interlacement_matrix", plant_entry(target))
     table = sweep_property(g, hierholzer(g), "naturality")
     reference = per_point(g, "naturality")
     assert not table.ok
@@ -522,15 +482,6 @@ def test_naturality_needs_nonsingular_change(monkeypatch):
     assert result.witness["nonsingular"] is False
 
 
-def test_core_independence_rows_match_per_point():
-    # each ts is one row, proved from its partition's core vectors; the
-    # points of a row that is not proved go to the per-point check
-    for g in corpus(5):
-        rows = sweep_property(g, hierholzer(g), "core independence")
-        assert outcome_of(rows) == outcome_of(per_point(g, "core independence"))
-        assert rows.ok
-
-
 @pytest.mark.parametrize("defect", ["extra-coordinate", "zero"])
 def test_core_independence_row_negative_control(monkeypatch, defect):
     # a planted core vector breaks the dependency space of the one ts
@@ -543,7 +494,7 @@ def test_core_independence_row_negative_control(monkeypatch, defect):
     g = random_matching_graph(4, seed=0, connected=True)
     ts, gamma = next(
         (ts, p.circuits[0])
-        for ts in verify._all_ts(g)
+        for ts in all_ts(g)
         for p in [trace_partition(g, ts)]
         if p.size == 2 and set(vertex_indices(p.circuits[0])) == set(range(g.n))
     )
