@@ -1,12 +1,13 @@
 """Property sweeps: run every matrix and label identity check over a graph.
 
-One table, ``PROPERTIES``, names the checks of each property and the
-axes their arguments range over.  Three modes drive it and share one
-report shape: an exhaustive sweep runs each property over its own full
-product of axes (the Euler-system orbit, all 3^n transition systems,
-the vertices, the circuit subsets); a seeded random sweep over one
-graph, and one over freshly generated matching graphs, draw one random
-configuration per sample and pass it to every property.  All randomness
+One table, ``PROPERTIES``, names the checks of each property, the axes
+their arguments range over and each check's row proof.  Three modes
+drive it and share one report shape: an exhaustive sweep runs each
+property over its own full product of axes (the Euler-system orbit, all
+3^n transition systems, the vertices, the circuit subsets); a seeded
+random sweep over one graph, and one over freshly generated matching
+graphs, draw one random configuration per sample and pass it to every
+property.  All randomness
 comes from one ``random.Random(seed)`` stream, so reports are
 reproducible byte for byte.
 
@@ -15,11 +16,12 @@ tuples of its leading orbit axes, (c, c2) for naturality and the inverse
 pair and c for the local-complement transform and the label exchange,
 for core independence the ts whose circuit subsets are its points, and
 for Kotzig closure, a property of the graph alone, its one point.
-A row that its predicate in ``_ROW_PROOFS`` proves counts all of its
-points at once; every point of any other row goes to the per-point
-check, so verdicts and witnesses, in order, are those of a sweep of one
-call per point.  The orbit rows read the run's ``_OrbitTable``, and the
-closure row its orbit and the count of its work guard.
+A row that its check's proof proves counts all of its points at once;
+every point of any other row goes to the check, so verdicts and
+witnesses, in order, are those of a sweep of one call per point.  The
+orbit rows read the run's ``_OrbitTable``, and the closure row its
+orbit and the count of its work guard.  Under ``corrupt`` only the
+transform's row 0, which holds the negative control, is never proved.
 
 The naturality, transform and label-exchange predicates act column by
 column.  Column v of M(c, ts), like the label at v, depends only on
@@ -118,33 +120,10 @@ def _check_closure(g: Graph4R) -> CheckResult:
     return CheckResult(ok, None if ok else {"orbit": size, "euler_count": count})
 
 
-# Each property's checks, each with the axes its arguments after the graph
-# range over, outermost first: c and c2 range over the transform orbit of
-# the reference Euler system c0, ts over all 3^n transition systems, v
-# over the vertices, and subset, which only follows ts, over the subsets
-# of the circuits that ts traces.  A check with no axes is a property of
-# the graph alone.
-_CheckOnAxes = Tuple[Callable[..., CheckResult], Tuple[str, ...]]
-PROPERTIES: Dict[str, Tuple[_CheckOnAxes, ...]] = {
-    "local-complement transform": (
-        (check_local_complement_transform, ("c", "ts", "v")),
-    ),
-    "naturality": ((check_naturality, ("c", "c2", "ts")),),
-    "inverse": ((check_inverse, ("c", "c2")),),
-    "core-kernel equality": ((check_core_kernel, ("c0", "ts")),),
-    "circuit nullity": ((check_circuit_nullity, ("c0", "ts")),),
-    "core independence": ((check_core_independence, ("ts", "subset")),),
-    "kotzig closure": ((_check_closure, ()),),
-    "label exchange": (
-        (check_label_exchange, ("c", "ts", "v")),
-        (check_interlacement_complement, ("c", "v")),
-    ),
-}
-PROPERTY_NAMES = tuple(PROPERTIES)
-
 _MAX_WITNESSES = 3
 _WORK_LIMIT = 5_000_000
 _ORBIT_LIMIT = 3 ** 8
+_CONTROL = "negative control (corrupted entry)"
 
 
 class PropertyOutcome:
@@ -178,6 +157,13 @@ class VerifyReport:
     @property
     def passed(self) -> bool:
         return all(o.ok for o in self.outcomes)
+
+    @property
+    def caught_control(self) -> bool:
+        """The self-test's verdict: the run's one failure is the negative
+        control's witness, so the control ran and nothing else failed."""
+        failures = [w for o in self.outcomes for w in o.failures]
+        return len(failures) == 1 and failures[0].startswith(f"note={_CONTROL}")
 
 
 def _fmt_ts(g: Graph4R, ts: TransitionSystem) -> str:
@@ -382,22 +368,21 @@ def _pair_row(table: _OrbitTable, i: int, j: int) -> bool:
 def _vertex_row(table: _OrbitTable, i: int, members, holds) -> bool:
     """Row c = orbit[i] of a check over (c, ts, v): c and each
     kappa(c, v) = orbit[j] are whole, their ``members`` entries not None,
-    and ``holds(j, v)``, the identity at the three constant systems."""
+    and ``holds(c, j, v)``, the identity at the three constant systems."""
     c = table.orbit[i]
     if members[i] is None:
         return False
     for v in table.g.vertices:
         j = table.index.get(kappa_transform(c, v).ts)
-        if j is None or members[j] is None or not holds(j, v):
+        if j is None or members[j] is None or not holds(c, j, v):
             return False
     return True
 
 
 def _transform_row(table: _OrbitTable, i: int) -> bool:
     blocks = table.blocks
-    c = table.orbit[i]
 
-    def holds(j, v):
+    def holds(c, j, v):
         return interlace.modified_local_complement(blocks[i], c, v) == blocks[j]
 
     return _vertex_row(table, i, blocks, holds)
@@ -405,9 +390,8 @@ def _transform_row(table: _OrbitTable, i: int) -> bool:
 
 def _label_row(table: _OrbitTable, i: int) -> bool:
     labels = table.labels
-    c = table.orbit[i]
 
-    def holds(j, v):
+    def holds(c, j, v):
         return all(
             _exchanged_labels(c, v, before) == after
             for before, after in zip(labels[i], labels[j])
@@ -446,18 +430,30 @@ def _core_row(table, p) -> bool:
     ) == len(vectors) - len(sums)
 
 
-# Row predicates of the exhaustive sweep, keyed by the function objects
-# in ``PROPERTIES``, so that a wrapped check (``_properties(corrupt=True)``)
-# runs point by point.  A predicate takes the table and the row of
-# ``_rows``.
-_ROW_PROOFS = {
-    check_naturality: _pair_row,
-    check_inverse: _pair_row,
-    check_local_complement_transform: _transform_row,
-    check_label_exchange: _label_row,
-    check_core_independence: _core_row,
-    _check_closure: _closure_row,
+# Each property's checks, each with the axes its arguments after the graph
+# range over, outermost first, and its row proof: c and c2 range over the
+# transform orbit of the reference Euler system c0, ts over all 3^n
+# transition systems, v over the vertices, and subset, which only follows
+# ts, over the subsets of the circuits that ts traces.  A check with no
+# axes is a property of the graph alone.  A row proof takes the run's
+# table and a row of ``_rows``; a check with none (None) runs every point.
+_Check = Tuple[Callable[..., CheckResult], Tuple[str, ...], Optional[Callable]]
+PROPERTIES: Dict[str, Tuple[_Check, ...]] = {
+    "local-complement transform": (
+        (check_local_complement_transform, ("c", "ts", "v"), _transform_row),
+    ),
+    "naturality": ((check_naturality, ("c", "c2", "ts"), _pair_row),),
+    "inverse": ((check_inverse, ("c", "c2"), _pair_row),),
+    "core-kernel equality": ((check_core_kernel, ("c0", "ts"), None),),
+    "circuit nullity": ((check_circuit_nullity, ("c0", "ts"), None),),
+    "core independence": ((check_core_independence, ("ts", "subset"), _core_row),),
+    "kotzig closure": ((_check_closure, (), _closure_row),),
+    "label exchange": (
+        (check_label_exchange, ("c", "ts", "v"), _label_row),
+        (check_interlacement_complement, ("c", "v"), None),
+    ),
 }
+PROPERTY_NAMES = tuple(PROPERTIES)
 
 
 def _sweep(g, c0, name, checks, table=None) -> PropertyOutcome:
@@ -470,7 +466,7 @@ def _sweep(g, c0, name, checks, table=None) -> PropertyOutcome:
     orbit member that is not an Euler system skips the property.
     """
     outcome = PropertyOutcome(name)
-    if table is None and any({"c", "c2"} & set(axes) for _, axes in checks):
+    if table is None and any({"c", "c2"} & set(axes) for _, axes, _ in checks):
         try:
             table = _OrbitTable(g, kotzig_orbit(g, c0))
         except NotEulerSystem as exc:
@@ -478,8 +474,7 @@ def _sweep(g, c0, name, checks, table=None) -> PropertyOutcome:
             return outcome
     orbit = () if table is None else table.orbit
     try:
-        for check, axes in checks:
-            prove = _ROW_PROOFS.get(check)
+        for check, axes, prove in checks:
             for row, lead, points in _rows(g, c0, orbit, axes):
                 if prove is not None and prove(table, *row):
                     outcome.checks += len(points)
@@ -511,7 +506,7 @@ def _negative_control(g, c, ts, v) -> CheckResult:
     return CheckResult(
         _corrupted(lhs) == rhs,
         {
-            "note": "negative control (corrupted entry)",
+            "note": _CONTROL,
             "vertex": v,
             "euler": c.ts,
             "partition": ts,
@@ -520,18 +515,21 @@ def _negative_control(g, c, ts, v) -> CheckResult:
 
 
 def _properties(corrupt: bool):
-    """The property table; with ``corrupt``, the first local-complement
-    transform check of the run is the negative control."""
+    """The property table; with ``corrupt``, the first transform check of
+    the run is the negative control, and its row 0 is never proved."""
     if not corrupt:
         return PROPERTIES
     name = "local-complement transform"
-    ((check, axes),) = PROPERTIES[name]
+    ((check, axes, prove),) = PROPERTIES[name]
     calls = itertools.count()
 
     def first_corrupted(g, *args):
         return (_negative_control if next(calls) == 0 else check)(g, *args)
 
-    return {**PROPERTIES, name: ((first_corrupted, axes),)}
+    def later_rows(table, i):
+        return i > 0 and prove(table, i)
+
+    return {**PROPERTIES, name: ((first_corrupted, axes, later_rows),)}
 
 
 def _work_estimate(g: Graph4R, size: int) -> int:
@@ -613,7 +611,7 @@ def _check_sample(
     subset = tuple(i for i in range(size) if rng.random() < 0.5)
     sample = {"c": c, "c0": c, "c2": c2, "ts": ts, "v": v, "subset": subset}
     for name, checks in properties.items():
-        for check, axes in checks:
+        for check, axes, _ in checks:
             if axes:
                 _record(outcomes[name], g, check(g, *(sample[a] for a in axes)))
 

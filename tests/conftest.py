@@ -45,7 +45,7 @@ def per_point(g, name):
     c0 = hierholzer(g)
     orbit = kotzig_orbit(g, c0)
     outcome = verify.PropertyOutcome(name)
-    for check, axes in verify.PROPERTIES[name]:
+    for check, axes, _ in verify.PROPERTIES[name]:
         for _, lead, points in verify._rows(g, c0, orbit, axes):
             for args in points:
                 verify._record(outcome, g, check(g, *lead, *args))

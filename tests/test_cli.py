@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from interlacement import TRANSITIONS, ParseError, PartitionProfile, hierholzer
 from interlacement import TooLarge
-from interlacement import profile_by_tracing, random_matching_graph
+from interlacement import euler_count, profile_by_tracing, random_matching_graph
 from interlacement import profile as profile_module
 from interlacement.cli import (
     format_graph,
@@ -645,6 +645,36 @@ def test_verify_self_test_corrupt(capsys, g4_file):
     assert code == 0
     assert "self test ok" in out
     assert "FAIL local-complement transform" in out
+
+
+def test_verify_self_test_needs_the_control(capsys, monkeypatch, tmp_path):
+    # a broken orbit walk skips the transform property, so the control
+    # never runs: closure fails, and that failure is no caught control
+    plant_walk_without_swap(monkeypatch)
+    p = tmp_path / "g.graph"
+    p.write_text(format_graph(random_matching_graph(4, seed=0, connected=True)))
+    code, out, err = run_cli(
+        capsys, "verify", str(p), "--exhaustive", "--self-test-corrupt"
+    )
+    assert code == 2
+    assert "SKIP local-complement transform" in out
+    assert "self test ok" not in out
+    assert err == "self test FAILED: the control was not the one failure\n"
+
+
+def test_verify_self_test_fails_on_real_defect(capsys, monkeypatch, g4_file):
+    # the control is caught, but a planted closure miscount fails too
+    monkeypatch.setattr(
+        "interlacement.verify.euler_count", lambda g: euler_count(g) + 1
+    )
+    code, out, err = run_cli(
+        capsys, "verify", g4_file, "--samples", "3", "--self-test-corrupt"
+    )
+    assert code == 2
+    assert "note=negative control" in out
+    assert "FAIL kotzig closure" in out
+    assert "self test ok" not in out
+    assert err == "self test FAILED: the control was not the one failure\n"
 
 
 def test_profile_invariant_breach_exits_two(capsys, g4_file, monkeypatch):

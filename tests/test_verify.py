@@ -87,9 +87,13 @@ def test_closure_fails_on_wrong_count(monkeypatch):
     assert bad[0].failures == ["orbit=6 euler_count=7"]
 
 
-def test_exhaustive_corrupt_fails():
-    report = run_exhaustive(graph_four_parallel(), corrupt=True)
+def test_exhaustive_corrupt_fails(monkeypatch):
+    g = graph_four_parallel()
+    plain = run_exhaustive(g)
+    steps = counter(monkeypatch, interlace, "modified_local_complement")
+    report = run_exhaustive(g, corrupt=True)
     assert not report.passed
+    assert report.caught_control
     bad = [o for o in report.outcomes if not o.ok]
     assert len(bad) == 1
     assert bad[0].name == "local-complement transform"
@@ -97,6 +101,15 @@ def test_exhaustive_corrupt_fails():
         "note=negative control (corrupted entry) vertex=u "
         "euler=[u:01|23 v:02|13] partition=[u:01|23 v:01|23]"
     ]
+    # the control takes the place of one check and adds none
+    assert [(o.name, o.checks) for o in report.outcomes] == [
+        (o.name, o.checks) for o in plain.outcomes
+    ]
+    # the transform's row 0, which holds the control, runs one call per
+    # point; each of the other 5 members' rows is proved by one call per
+    # vertex
+    size, points = 6, 3 ** g.n * g.n
+    assert len(steps) == points + (size - 1) * g.n
 
 
 def test_samples_deterministic():
