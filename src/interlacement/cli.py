@@ -57,6 +57,10 @@ _FORCED_STATE_GUARD = 2_027_025
 # vertices per generated graph of ``verify`` without a graph file
 _VERIFY_SIZE = 8
 
+# lines per write of the ``orbit`` listing, so that the text of a large
+# orbit is never held whole; a smaller orbit leaves in one write
+_ORBIT_CHUNK = 1 << 16
+
 
 def parse_graph(text: str) -> Graph4R:
     """Parse the plain text graph format.
@@ -190,7 +194,8 @@ def format_transitions(g: Graph4R, ts: TransitionSystem) -> str:
 
 def _read(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, if the file has one
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
@@ -436,11 +441,14 @@ def cmd_orbit(args) -> int:
         ([f"{v}:{t.value}" for t in TRANSITIONS], 2 * (g.n - 1 - i))
         for i, v in enumerate(g.vertices)
     ]
-    lines = [
-        " ".join([names[(key >> s) & 3] for names, s in fields]) for key in keys
-    ]
-    lines.append(f"count: {len(keys)}\n")
-    sys.stdout.write("\n".join(lines))
+    for start in range(0, len(keys), _ORBIT_CHUNK):
+        lines = [
+            " ".join([names[(key >> s) & 3] for names, s in fields])
+            for key in keys[start:start + _ORBIT_CHUNK]
+        ]
+        if start + _ORBIT_CHUNK >= len(keys):
+            lines.append(f"count: {len(keys)}")
+        sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

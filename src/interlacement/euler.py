@@ -21,6 +21,7 @@ follows these rules and traces no circuit.
 
 from __future__ import annotations
 
+from collections import deque
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Dict, List, Tuple
@@ -332,12 +333,13 @@ def _label_exchange(codes, psi, rows, i):
 
 
 def _orbit_walk(c: EulerSystem):
-    """(codes, psi codes, interlacement rows) of each orbit member of ``c``,
-    packed as :func:`_label_exchange` takes them.
+    """Yield (codes, psi codes, interlacement rows) of each orbit member
+    of ``c``, packed as :func:`_label_exchange` takes them.
 
     Breadth-first closure over single-vertex transforms by the label
-    exchange; members are deduplicated by their packed transition codes,
-    and the list starts with ``c``.
+    exchange, starting with ``c``; members are deduplicated by their
+    packed transition codes.  Each member is yielded as it is expanded,
+    and only the unexpanded ones keep their rows.
     """
     shifts = range(2 * c.graph.n - 2, -1, -2)
     fields = [3 << s for s in shifts]
@@ -350,15 +352,16 @@ def _orbit_walk(c: EulerSystem):
         ),
     )
     seen = {start[0]}
-    states = [start]
-    for codes, psi, rows in states:
+    pending = deque([start])
+    while pending:
+        codes, psi, rows = state = pending.popleft()
+        yield state
         diff = codes ^ psi
         for i, field in enumerate(fields):
             key = codes ^ (diff & field)
             if key not in seen:
                 seen.add(key)
-                states.append((key, *_label_exchange(codes, psi, rows, i)))
-    return states
+                pending.append((key, *_label_exchange(codes, psi, rows, i)))
 
 
 def orbit_keys(g: Graph4R, c: EulerSystem) -> List[int]:
@@ -405,11 +408,8 @@ def kotzig_orbit(g: Graph4R, c: EulerSystem):
         try:
             orbit.append(c if ts == c.ts else EulerSystem.from_transitions(g, ts))
         except NotEulerSystem as exc:
-            member = " ".join(
-                f"{v}:{TRANSITIONS[x].value}" for v, x in zip(g.vertices, ts.codes)
-            )
             raise NotEulerSystem(
-                f"orbit member [{member}] is not an Euler system: {exc}"
+                f"orbit member [{ts.inline(g)}] is not an Euler system: {exc}"
             ) from None
     return tuple(orbit)
 

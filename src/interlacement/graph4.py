@@ -312,6 +312,11 @@ class TransitionSystem:
             )
         return {v: TRANSITIONS[c] for v, c in zip(g.vertices, self.codes)}
 
+    def inline(self, g: Graph4R) -> str:
+        """``v:T`` per vertex of ``g``, space-separated, as witnesses print it."""
+        pairs = zip(g.vertices, self.codes)
+        return " ".join(f"{v}:{TRANSITIONS[c].value}" for v, c in pairs)
+
     def replace(self, i: int, code: int) -> "TransitionSystem":
         codes = list(self.codes)
         codes[i] = code

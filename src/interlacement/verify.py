@@ -65,7 +65,6 @@ from .euler import EulerSystem, hierholzer, kappa_transform, kotzig_orbit
 from .gf2 import GF2Matrix, _rref_rows
 from .graph4 import (
     Graph4R,
-    TRANSITIONS,
     TransitionSystem,
     random_matching_graph,
     trace_partition,
@@ -127,26 +126,20 @@ _CONTROL = "negative control (corrupted entry)"
 
 
 class PropertyOutcome:
-    def __init__(
-        self,
-        name: str,
-        checks: int = 0,
-        failures: Optional[List[str]] = None,
-        skipped: Optional[str] = None,
-    ):
+    def __init__(self, name: str):
         self.name = name
-        self.checks = checks
-        self.failures = [] if failures is None else failures
-        self.skipped = skipped
+        self.checks = 0
+        self.failures: List[str] = []
+        self.skipped: Optional[str] = None
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
-    def record(self, result: CheckResult, describe: Callable[[], str]) -> None:
+    def record(self, g: Graph4R, result: CheckResult) -> None:
         self.checks += 1
         if not result and len(self.failures) < _MAX_WITNESSES:
-            self.failures.append(describe())
+            self.failures.append(_fmt_witness(g, result.witness))
 
 
 class VerifyReport:
@@ -166,12 +159,6 @@ class VerifyReport:
         return len(failures) == 1 and failures[0].startswith(f"note={_CONTROL}")
 
 
-def _fmt_ts(g: Graph4R, ts: TransitionSystem) -> str:
-    return " ".join(
-        f"{v}:{TRANSITIONS[c].value}" for v, c in zip(g.vertices, ts.codes)
-    )
-
-
 def _fmt_matrix(m: GF2Matrix) -> str:
     return "/".join(str(m.row(i)) for i in range(m.nrows))
 
@@ -180,7 +167,7 @@ def _fmt_witness(g: Graph4R, data: Dict) -> str:
     parts = []
     for key, value in data.items():
         if isinstance(value, TransitionSystem):
-            parts.append(f"{key}=[{_fmt_ts(g, value)}]")
+            parts.append(f"{key}=[{value.inline(g)}]")
         elif isinstance(value, GF2Matrix):
             parts.append(f"{key}={_fmt_matrix(value)}")
         elif isinstance(value, dict):
@@ -241,10 +228,6 @@ def _rows(g, c0, orbit, axes):
         yield row, [orbit[i] for i in row], points
 
 
-def _record(outcome: PropertyOutcome, g: Graph4R, result: CheckResult) -> None:
-    outcome.record(result, lambda: _fmt_witness(g, result.witness))
-
-
 class _OrbitTable:
     """The matrices and labels of one run: M(c, ts) and
     ``label_transitions(c, ts)`` for every member c of one orbit and every
@@ -276,9 +259,7 @@ class _OrbitTable:
             for ts in self.all_ts
         ]
         # position of P_t in all_ts
-        self.constant = [
-            _ts_index(TransitionSystem((t,) * g.n)) for t in (0, 1, 2)
-        ]
+        self.constant = [_ts_index(TransitionSystem((t,) * g.n)) for t in (0, 1, 2)]
 
     def _members(self, build, is_whole, keep):
         """Per member, ``keep`` of its three constant entries when
@@ -456,22 +437,35 @@ PROPERTIES: Dict[str, Tuple[_Check, ...]] = {
 PROPERTY_NAMES = tuple(PROPERTIES)
 
 
-def _sweep(g, c0, name, checks, table=None) -> PropertyOutcome:
+def _over_orbit(checks) -> bool:
+    return any({"c", "c2"} & set(axes) for _, axes, _ in checks)
+
+
+def _orbit_table(g: Graph4R, c0: EulerSystem, count: Optional[int] = None):
+    """The run's ``_OrbitTable`` over the transform orbit of ``c0``, or
+    the ``NotEulerSystem`` text naming the first walked member that is
+    not an Euler system."""
+    try:
+        return _OrbitTable(g, kotzig_orbit(g, c0), count)
+    except NotEulerSystem as exc:
+        return str(exc)
+
+
+def _sweep(g, c0, name, checks, table) -> PropertyOutcome:
     """Run ``checks``, the ``PROPERTIES`` entry of property ``name``, over
     their full products; a check that raises ``TooLarge`` skips the
     property.
 
-    ``table`` is the run's ``_OrbitTable`` when the caller has made one;
-    otherwise one is made here if a check ranges over c or c2, and an
-    orbit member that is not an Euler system skips the property.
+    ``table`` is what ``_orbit_table`` returned for the run, or None
+    where no check ranges over c or c2.  A failed walk skips a property
+    over the orbit, naming the member.
     """
     outcome = PropertyOutcome(name)
-    if table is None and any({"c", "c2"} & set(axes) for _, axes, _ in checks):
-        try:
-            table = _OrbitTable(g, kotzig_orbit(g, c0))
-        except NotEulerSystem as exc:
-            outcome.skipped = f"kotzig closure failed: {exc}"
+    if isinstance(table, str):
+        if _over_orbit(checks):
+            outcome.skipped = f"kotzig closure failed: {table}"
             return outcome
+        table = None
     orbit = () if table is None else table.orbit
     try:
         for check, axes, prove in checks:
@@ -480,7 +474,7 @@ def _sweep(g, c0, name, checks, table=None) -> PropertyOutcome:
                     outcome.checks += len(points)
                     continue
                 for args in points:
-                    _record(outcome, g, check(g, *lead, *args))
+                    outcome.record(g, check(g, *lead, *args))
     except TooLarge as exc:
         outcome.skipped = str(exc)
     return outcome
@@ -493,7 +487,9 @@ def sweep_property(g: Graph4R, c0: EulerSystem, name: str) -> PropertyOutcome:
         c0: the reference Euler system; the c and c2 axes range over its
             transform orbit.
     """
-    return _sweep(g, c0, name, PROPERTIES[name])
+    checks = PROPERTIES[name]
+    table = _orbit_table(g, c0) if _over_orbit(checks) else None
+    return _sweep(g, c0, name, checks, table)
 
 
 def _negative_control(g, c, ts, v) -> CheckResult:
@@ -505,12 +501,7 @@ def _negative_control(g, c, ts, v) -> CheckResult:
     rhs = interlace.modified_interlacement_matrix(kappa_transform(c, v), ts)
     return CheckResult(
         _corrupted(lhs) == rhs,
-        {
-            "note": _CONTROL,
-            "vertex": v,
-            "euler": c.ts,
-            "partition": ts,
-        },
+        {"note": _CONTROL, "vertex": v, "euler": c.ts, "partition": ts},
     )
 
 
@@ -549,10 +540,11 @@ def run_exhaustive(
 ) -> VerifyReport:
     """Exhaustive sweep: every property over its full product of axes.
 
-    The transform orbit of ``hierholzer(g)`` and its table of matrices
-    and labels are built once and shared by every property, whose rows
-    it proves where it can (see the module docstring); the closure row
-    reads the orbit and the work guard's count.
+    The transform orbit of ``hierholzer(g)`` is walked once, and its
+    table of matrices and labels, or the walk's failure, is shared by
+    every property, whose rows the table proves where it can (see the
+    module docstring); the closure row reads the orbit and the work
+    guard's count.
 
     Raises:
         TooLarge: the number of checks, estimated from ``euler_count``
@@ -570,11 +562,9 @@ def run_exhaustive(
             )
     c0 = hierholzer(g)
     meta = [_graph_line(g), "mode: exhaustive"]
-    try:
-        table = _OrbitTable(g, kotzig_orbit(g, c0), count)
+    table = _orbit_table(g, c0, count)
+    if not isinstance(table, str):
         meta.append(f"orbit size: {len(table.orbit)}")
-    except NotEulerSystem:
-        table = None  # each property over the orbit skips, naming the member
     properties = _properties(corrupt)
     return VerifyReport(
         meta,
@@ -613,7 +603,7 @@ def _check_sample(
     for name, checks in properties.items():
         for check, axes, _ in checks:
             if axes:
-                _record(outcomes[name], g, check(g, *(sample[a] for a in axes)))
+                outcomes[name].record(g, check(g, *(sample[a] for a in axes)))
 
 
 def run_samples(
@@ -633,11 +623,7 @@ def run_samples(
     for _ in range(samples):
         _check_sample(g, c0, rng, properties, outcomes)
     outcomes["kotzig closure"] = sweep_property(g, c0, "kotzig closure")
-    meta = [
-        _graph_line(g),
-        f"mode: samples ({samples})",
-        f"seed: {seed}",
-    ]
+    meta = [_graph_line(g), f"mode: samples ({samples})", f"seed: {seed}"]
     return VerifyReport(meta, [outcomes[name] for name in PROPERTY_NAMES])
 
 

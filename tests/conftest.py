@@ -48,7 +48,7 @@ def per_point(g, name):
     for check, axes, _ in verify.PROPERTIES[name]:
         for _, lead, points in verify._rows(g, c0, orbit, axes):
             for args in points:
-                verify._record(outcome, g, check(g, *lead, *args))
+                outcome.record(g, check(g, *lead, *args))
     return outcome
 
 

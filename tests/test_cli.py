@@ -257,6 +257,23 @@ def test_matrix_text_output(capsys, tmp_path, g4_file):
     assert "components: 1" in lines
 
 
+def test_byte_order_mark_is_read_as_utf8(capsys, tmp_path, g4_file):
+    # a graph or transition file saved with a UTF-8 byte-order mark reads
+    # as the same file without one
+    bom_graph = tmp_path / "bom.graph"
+    bom_graph.write_bytes(b"\xef\xbb\xbf" + G4PAR.encode("utf-8"))
+    assert run_cli(capsys, "validate", str(bom_graph)) == run_cli(
+        capsys, "validate", g4_file
+    )
+    part, bom_part = tmp_path / "p.ts", tmp_path / "bom.ts"
+    part.write_text("u: psi\nv: chi\n")
+    bom_part.write_bytes(b"\xef\xbb\xbf" + part.read_bytes())
+    plain = run_cli(capsys, "matrix", g4_file, "--partition", str(part))
+    assert plain[0] == 0
+    bom = run_cli(capsys, "matrix", str(bom_graph), "--partition", str(bom_part))
+    assert bom == plain
+
+
 def test_matrix_json_key_order(capsys, tmp_path, g4_file):
     part = tmp_path / "p.ts"
     part.write_text("u: 01|23\nv: 01|23\n")
@@ -442,6 +459,25 @@ def test_orbit_writes_once(monkeypatch, g4_file):
     assert main(["orbit", g4_file]) == 0
     assert len(writes) == 1
     assert writes[0].endswith("count: 6\n") and writes[0].count("\n") == 7
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, 6, 7])
+def test_orbit_chunks_join_to_one_listing(capsys, monkeypatch, g4_file, chunk):
+    # chunk sizes below, at and above the orbit of 6 give the bytes of
+    # the one-write listing, in one write per started chunk
+    code, whole, _ = run_cli(capsys, "orbit", g4_file)
+    writes = []
+    real = sys.stdout.write
+
+    def write(text):
+        writes.append(text)
+        return real(text)
+
+    monkeypatch.setattr("interlacement.cli._ORBIT_CHUNK", chunk)
+    monkeypatch.setattr(sys.stdout, "write", write)
+    assert run_cli(capsys, "orbit", g4_file) == (code, whole, "")
+    assert len(writes) == -(-6 // chunk)
+    assert writes[-1].endswith("count: 6\n")
 
 
 def test_orbit_frontier_refusal(capsys, tmp_path):

@@ -30,6 +30,7 @@ from conftest import (
     graph_four_parallel,
     outcome_of,
     per_point,
+    plant_walk_without_swap,
     pool_graphs,
     vertex_indices,
 )
@@ -413,6 +414,21 @@ def test_exhaustive_builds_orbit_once(monkeypatch):
     assert (len(orbits), len(counts)) == (1, 1)
 
 
+def test_failed_walk_runs_twice(monkeypatch):
+    # a walk that reaches a non-Euler system fails once for the run, and
+    # every property over the orbit skips on that failure; the closure
+    # check walks again for its witness
+    plant_walk_without_swap(monkeypatch)
+    orbits = counter(monkeypatch, verify, "kotzig_orbit")
+    report = run_exhaustive(random_matching_graph(4, seed=0, connected=True))
+    assert not report.passed
+    skipped = [o.name for o in report.outcomes if o.skipped is not None]
+    assert skipped == [
+        "local-complement transform", "naturality", "inverse", "label exchange"
+    ]
+    assert len(orbits) == 2
+
+
 def test_inverse_table_negative_control(monkeypatch):
     # one flipped entry M(c, c2.ts) fails the pair (c, c2), where it is
     # the left factor, and (c2, c), where it is the right one
@@ -424,8 +440,8 @@ def test_inverse_table_negative_control(monkeypatch):
     assert outcome_of(table) == outcome_of(per_point(g, "inverse"))
     assert (table.checks, len(table.failures)) == (36, 2)
     assert table.failures[0].startswith(
-        f"euler=[{verify._fmt_ts(g, orbit[0].ts)}] "
-        f"euler2=[{verify._fmt_ts(g, orbit[-1].ts)}] product="
+        f"euler=[{orbit[0].ts.inline(g)}] "
+        f"euler2=[{orbit[-1].ts.inline(g)}] product="
     )
 
 
@@ -527,7 +543,7 @@ def test_core_independence_row_negative_control(monkeypatch, defect):
     rows = sweep_property(g, hierholzer(g), "core independence")
     assert outcome_of(rows) == outcome_of(per_point(g, "core independence"))
     assert not rows.ok
-    assert all(f"partition=[{verify._fmt_ts(g, ts)}]" in f for f in rows.failures)
+    assert all(f"partition=[{ts.inline(g)}]" in f for f in rows.failures)
 
 
 def skip_toggles(real):
