@@ -110,7 +110,8 @@ class EulerSystem:
         p = trace_partition(g, ts)
         if p.size != g.c:
             raise NotEulerSystem(
-                f"transition system traces {p.size} circuits, graph has {g.c} components"
+                f"transition system traces {p.size} circuits, graph has "
+                f"{g.c} component{'' if g.c == 1 else 's'}"
             )
         # circuits come in the order of their smallest half-edge, which for
         # one circuit per component is component order
@@ -274,10 +275,7 @@ def label_transitions(c: EulerSystem, ts: TransitionSystem) -> Dict:
     Returns a {vertex id: TransitionLabel} dict in vertex order.
     """
     g = c.graph
-    if len(ts) != g.n:
-        raise GraphMismatch(
-            f"transition system covers {len(ts)} vertices, graph has {g.n}"
-        )
+    ts.require_fits(g)
     return {
         v: row[code] for v, row, code in zip(g.vertices, c.labels_by_code, ts.codes)
     }
@@ -300,6 +298,12 @@ def kappa_transform(c: EulerSystem, v) -> EulerSystem:
     The result is again an Euler system (validated), and applying the
     transform twice at the same vertex gives back ``c``.
     """
+    return _kappa(c, v)
+
+
+def _kappa(c: EulerSystem, v) -> EulerSystem:
+    """:func:`kappa_transform` without its cache, for walks whose
+    intermediate systems no check reads again."""
     i = c.graph.vertex_index(v)
     new_ts = c.ts.replace(i, c.psi_codes[i])
     return EulerSystem.from_transitions(c.graph, new_ts)

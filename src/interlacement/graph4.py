@@ -305,11 +305,15 @@ class TransitionSystem:
             raise GraphMismatch(f"no transition for vertex {missing[0]!r}")
         return cls(tuple(mapping[v].code for v in g.vertices))
 
-    def as_map(self, g: Graph4R) -> Dict:
+    def require_fits(self, g: Graph4R) -> None:
+        """Raise ``GraphMismatch`` unless there is one code per vertex of ``g``."""
         if len(self.codes) != g.n:
             raise GraphMismatch(
                 f"transition system covers {len(self.codes)} vertices, graph has {g.n}"
             )
+
+    def as_map(self, g: Graph4R) -> Dict:
+        self.require_fits(g)
         return {v: TRANSITIONS[c] for v, c in zip(g.vertices, self.codes)}
 
     def inline(self, g: Graph4R) -> str:
@@ -394,10 +398,7 @@ def trace_partition(g: Graph4R, ts: TransitionSystem) -> CircuitPartition:
     the twin is never traced.  The circuit list is therefore canonical
     for (graph, ts): ordered by smallest half-edge, each started there.
     """
-    if len(ts) != g.n:
-        raise GraphMismatch(
-            f"transition system covers {len(ts)} vertices, graph has {g.n}"
-        )
+    ts.require_fits(g)
     other = g.other_end_table
     partner = [PARTNER_BY_CODE[c] for c in ts.codes]
     visited = bytearray(g.half_edge_count)

@@ -172,12 +172,9 @@ def modified_interlacement_matrix(c: EulerSystem, ts: TransitionSystem) -> GF2Ma
     1 on the diagonal, chi columns are untouched.  The phi and psi rules
     touch disjoint columns, so the edit order is immaterial.
     """
+    ts.require_fits(c.graph)
     n = c.graph.n
     codes = ts.codes
-    if len(codes) != n:
-        raise GraphMismatch(
-            f"transition system covers {len(codes)} vertices, graph has {n}"
-        )
     # bit masks of the phi- and psi-labeled vertices
     phi = psi = 0
     bit = 1

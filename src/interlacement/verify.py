@@ -61,7 +61,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import interlace
 from .errors import NotEulerSystem, TooLarge
-from .euler import EulerSystem, hierholzer, kappa_transform, kotzig_orbit
+from .euler import EulerSystem, _kappa, hierholzer, kappa_transform, kotzig_orbit
 from .gf2 import GF2Matrix, _rref_rows
 from .graph4 import (
     Graph4R,
@@ -383,12 +383,8 @@ def _label_row(table: _OrbitTable, i: int) -> bool:
 
 def _closure_row(table: Optional[_OrbitTable]) -> bool:
     """Kotzig closure's one point: the run's orbit has as many members
-    as its count, the work guard's or else one taken here, within
-    ``_ORBIT_LIMIT``."""
-    if table is None:
-        return False
-    count = euler_count(table.g) if table.count is None else table.count
-    return len(table.orbit) == count <= _ORBIT_LIMIT
+    as the count its table was given, within ``_ORBIT_LIMIT``."""
+    return table is not None and len(table.orbit) == table.count <= _ORBIT_LIMIT
 
 
 def _core_row(table, p) -> bool:
@@ -547,19 +543,17 @@ def run_exhaustive(
     guard's count.
 
     Raises:
-        TooLarge: the number of checks, estimated from ``euler_count``
-            before any orbit exists, exceeds ``_WORK_LIMIT`` (pass
-            ``force=True`` to run anyway).
+        TooLarge: the frontier engine refuses to count the Euler systems,
+            or the number of checks estimated from that count exceeds
+            ``_WORK_LIMIT`` (pass ``force=True`` to run anyway); either
+            is raised before any orbit exists.
     """
-    count = None
-    if not force:
-        count = euler_count(g)
-        estimate = _work_estimate(g, count)
-        if estimate > _WORK_LIMIT:
-            raise TooLarge(
-                f"exhaustive sweep needs about {estimate} checks "
-                f"(limit {_WORK_LIMIT})"
-            )
+    count = euler_count(g)
+    estimate = _work_estimate(g, count)
+    if estimate > _WORK_LIMIT and not force:
+        raise TooLarge(
+            f"exhaustive sweep needs about {estimate} checks (limit {_WORK_LIMIT})"
+        )
     c0 = hierholzer(g)
     meta = [_graph_line(g), "mode: exhaustive"]
     table = _orbit_table(g, c0, count)
@@ -578,32 +572,48 @@ def _graph_line(g: Graph4R) -> str:
 
 
 def _random_walk(c0: EulerSystem, rng: random.Random) -> EulerSystem:
+    """A random transform walk from ``c0``.  Its steps bypass the
+    ``kappa_transform`` cache, which then holds only the transforms that
+    the checks read."""
     c = c0
     for _ in range(rng.randrange(0, 2 * c0.graph.n + 1)):
-        c = kappa_transform(c, rng.choice(c0.graph.vertices))
+        c = _kappa(c, rng.choice(c0.graph.vertices))
     return c
 
 
-def _check_sample(
-    g: Graph4R,
-    c0: EulerSystem,
-    rng: random.Random,
-    properties,
-    outcomes: Dict[str, PropertyOutcome],
-) -> None:
-    """Draw one random configuration and pass it to every property that
-    has axes; a sample's Euler system c also stands in for c0."""
-    c = _random_walk(c0, rng)
-    c2 = _random_walk(c0, rng)
-    ts = TransitionSystem(tuple(rng.randrange(3) for _ in range(g.n)))
-    v = rng.choice(g.vertices)
-    size = trace_partition(g, ts).size
-    subset = tuple(i for i in range(size) if rng.random() < 0.5)
-    sample = {"c": c, "c0": c, "c2": c2, "ts": ts, "v": v, "subset": subset}
-    for name, checks in properties.items():
-        for check, axes, _ in checks:
-            if axes:
-                outcomes[name].record(g, check(g, *(sample[a] for a in axes)))
+def _run_sampled(head, pairs, samples, seed, corrupt) -> VerifyReport:
+    """Draw ``samples`` random configurations, each passed to every
+    property that has axes; a sample's Euler system c also stands in for
+    c0.
+
+    All draws come from one ``random.Random(seed)`` stream, which
+    ``pairs`` takes to yield each sample's graph and its reference Euler
+    system c0 in turn.  Kotzig closure is checked on the first graph
+    alone, before its sample is drawn, so a stream that yields a pair
+    beyond the last sample has its graph checked even for 0 samples.
+    """
+    rng = random.Random(seed)
+    properties = _properties(corrupt)
+    outcomes = {name: PropertyOutcome(name) for name in PROPERTY_NAMES}
+    closure = "kotzig closure"
+    for k, (g, c0) in enumerate(pairs(rng)):
+        if k == 0:
+            outcomes[closure] = sweep_property(g, c0, closure)
+        if k == samples:
+            break
+        c = _random_walk(c0, rng)
+        c2 = _random_walk(c0, rng)
+        ts = TransitionSystem(tuple(rng.randrange(3) for _ in range(g.n)))
+        v = rng.choice(g.vertices)
+        size = trace_partition(g, ts).size
+        subset = tuple(i for i in range(size) if rng.random() < 0.5)
+        sample = {"c": c, "c0": c, "c2": c2, "ts": ts, "v": v, "subset": subset}
+        for name, checks in properties.items():
+            for check, axes, _ in checks:
+                if axes:
+                    outcomes[name].record(g, check(g, *(sample[a] for a in axes)))
+    meta = [head, f"mode: samples ({samples})", f"seed: {seed}"]
+    return VerifyReport(meta, [outcomes[name] for name in PROPERTY_NAMES])
 
 
 def run_samples(
@@ -616,15 +626,10 @@ def run_samples(
     """Seeded random sweep over one graph: per sample, random Euler
     systems (random transform walks), transition system, vertex, and
     circuit subset."""
-    rng = random.Random(seed)
     c0 = hierholzer(g)
-    properties = _properties(corrupt)
-    outcomes = {name: PropertyOutcome(name) for name in PROPERTY_NAMES}
-    for _ in range(samples):
-        _check_sample(g, c0, rng, properties, outcomes)
-    outcomes["kotzig closure"] = sweep_property(g, c0, "kotzig closure")
-    meta = [_graph_line(g), f"mode: samples ({samples})", f"seed: {seed}"]
-    return VerifyReport(meta, [outcomes[name] for name in PROPERTY_NAMES])
+    return _run_sampled(
+        _graph_line(g), lambda rng: itertools.repeat((g, c0)), samples, seed, corrupt
+    )
 
 
 def run_random_graphs(
@@ -640,19 +645,11 @@ def run_random_graphs(
     half-edges and then one random configuration on it.  Kotzig closure
     is checked on the first graph only.
     """
-    rng = random.Random(seed)
-    properties = _properties(corrupt)
-    outcomes = {name: PropertyOutcome(name) for name in PROPERTY_NAMES}
-    closure = "kotzig closure"
-    for i in range(samples):
-        g = random_matching_graph(size, seed=rng.randrange(2 ** 32))
-        c0 = hierholzer(g)
-        _check_sample(g, c0, rng, properties, outcomes)
-        if i == 0:
-            outcomes[closure] = sweep_property(g, c0, closure)
-    meta = [
-        f"graphs: {samples} generated, {size} vertices each",
-        f"mode: samples ({samples})",
-        f"seed: {seed}",
-    ]
-    return VerifyReport(meta, [outcomes[name] for name in PROPERTY_NAMES])
+
+    def pairs(rng):
+        for _ in range(samples):
+            g = random_matching_graph(size, seed=rng.randrange(2 ** 32))
+            yield g, hierholzer(g)
+
+    head = f"graphs: {samples} generated, {size} vertices each"
+    return _run_sampled(head, pairs, samples, seed, corrupt)

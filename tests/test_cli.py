@@ -417,7 +417,7 @@ def test_verify_broken_walk_fails_closure(capsys, monkeypatch, tmp_path, mode, n
     assert witness.startswith("     counterexample: error=orbit member [v0:")
     assert witness.endswith(
         "] is not an Euler system: transition system traces 2 circuits, "
-        "graph has 1 components"
+        "graph has 1 component"
     )
     reason = "kotzig closure failed: " + witness.split("error=", 1)[1]
     skipped = [line for line in lines if line.startswith("SKIP ")]

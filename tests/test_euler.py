@@ -347,7 +347,7 @@ def test_kotzig_orbit_names_first_member_not_euler(monkeypatch):
         kotzig_orbit(g, c)
     assert str(info.value) == (
         f"orbit member [{member}] is not an Euler system: transition system "
-        "traces 2 circuits, graph has 1 components"
+        "traces 2 circuits, graph has 1 component"
     )
 
 

@@ -15,7 +15,7 @@ from interlacement import (
     trace_partition,
 )
 from interlacement import verify
-from interlacement.euler import TransitionLabel
+from interlacement.euler import TransitionLabel, kappa_transform
 from interlacement.verify import (
     PROPERTY_NAMES,
     _work_estimate,
@@ -76,6 +76,22 @@ def test_exhaustive_work_guard():
     g = random_matching_graph(8, seed=0)
     with pytest.raises(TooLarge):
         run_exhaustive(g)
+
+
+def test_forced_exhaustive_counts_before_any_walk(monkeypatch):
+    # --force overrides the work guard alone: the count is still taken
+    # before any orbit exists, so the frontier engine's state guard
+    # refuses n = 40 instead of an unbounded walk starting
+    def no_walk(g, c):
+        raise AssertionError("the orbit was walked")
+
+    monkeypatch.setattr(verify, "kotzig_orbit", no_walk)
+    with pytest.raises(TooLarge) as info:
+        run_exhaustive(random_matching_graph(40, seed=2), force=True)
+    assert str(info.value) == (
+        "frontier profile of 40 vertices refused: up to 34459425 states "
+        "(guard at 135135)"
+    )
 
 
 def test_closure_fails_on_wrong_count(monkeypatch):
@@ -165,6 +181,86 @@ def test_random_graphs_skip_closure_when_large():
     assert closure_of(report).skipped == (
         "orbit of 64896 Euler systems exceeds the limit of 6561"
     )
+
+
+def full_report(report):
+    return report.meta, [
+        (o.name, o.checks, o.skipped, o.failures) for o in report.outcomes
+    ]
+
+
+def control_report(head, samples, seed, witness):
+    """The full report of a passing sampled run under ``corrupt``, whose
+    one failure is the control's ``witness``: its drawn vertex, Euler
+    system and transition system."""
+    counts = (samples,) * 6 + (1, 2 * samples)
+    failures = {NAMES[0]: [f"note=negative control (corrupted entry) {witness}"]}
+    return [head, f"mode: samples ({samples})", f"seed: {seed}"], [
+        (name, count, None, failures.get(name, []))
+        for name, count in zip(NAMES, counts)
+    ]
+
+
+# the control's witness is the first sample's draws, so these pin the
+# order in which the two sampled modes draw from their one stream
+@pytest.mark.parametrize(
+    "seed, witness",
+    [
+        (0, "vertex=v2 euler=[v0:02|13 v1:01|23 v2:03|12 v3:03|12] "
+         "partition=[v0:03|12 v1:03|12 v2:03|12 v3:01|23]"),
+        (5, "vertex=v1 euler=[v0:02|13 v1:02|13 v2:01|23 v3:03|12] "
+         "partition=[v0:01|23 v1:01|23 v2:02|13 v3:02|13]"),
+    ],
+)
+def test_samples_corrupt_report(seed, witness):
+    g = random_matching_graph(4, seed=1)
+    head = "graph: 4 vertices, 8 edges, 1 component"
+    assert full_report(run_samples(g, 3, seed, corrupt=True)) == control_report(
+        head, 3, seed, witness
+    )
+
+
+@pytest.mark.parametrize(
+    "seed, witness",
+    [
+        (0, "vertex=v0 euler=[v0:01|23 v1:02|13 v2:03|12] "
+         "partition=[v0:01|23 v1:02|13 v2:01|23]"),
+        (4, "vertex=v1 euler=[v0:03|12 v1:01|23 v2:02|13] "
+         "partition=[v0:01|23 v1:02|13 v2:03|12]"),
+    ],
+)
+def test_random_graphs_corrupt_report(seed, witness):
+    head = "graphs: 3 generated, 3 vertices each"
+    assert full_report(run_random_graphs(3, 3, seed, corrupt=True)) == (
+        control_report(head, 3, seed, witness)
+    )
+
+
+def test_zero_samples_still_check_closure_of_the_graph():
+    # run_samples has its graph before any sample; run_random_graphs
+    # generates none
+    g = random_matching_graph(4, seed=1)
+    assert summary(run_samples(g, 0, seed=2)) == passing(0, 0, 0, 0, 0, 0, 1, 0)
+    assert summary(run_random_graphs(3, 0, seed=2)) == passing(*[0] * 8)
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda corrupt: run_samples(
+            random_matching_graph(8, seed=3), 5, 1, corrupt=corrupt
+        ),
+        lambda corrupt: run_random_graphs(8, 5, 2, corrupt=corrupt),
+    ],
+    ids=["samples", "random-graphs"],
+)
+def test_sampled_walks_leave_transform_cache(run, corrupt):
+    # the random walks step through the uncached transform, so the cache
+    # holds at most the one transform per sample that the checks read
+    kappa_transform.cache_clear()
+    run(corrupt)
+    assert kappa_transform.cache_info().currsize <= 5
 
 
 def test_label_exchange_witness_line(monkeypatch):
